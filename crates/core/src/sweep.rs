@@ -94,7 +94,7 @@ pub struct SweepModel<'a> {
     pub key: String,
     /// Evaluation quantization scheme.
     pub scheme: QuantScheme,
-    /// The model (read-only; evaluation uses per-pattern replicas).
+    /// The model (read-only; evaluation uses scratch replicas).
     pub model: &'a Model,
 }
 
