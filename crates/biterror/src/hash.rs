@@ -8,24 +8,45 @@
 //! rate `p' <= p` is automatically a subset of the flipped set at `p` — the
 //! persistence-across-voltages axiom holds by construction.
 
+/// Weyl increment of the mixer; also the multiplier of the first index.
+pub(crate) const K1: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Multiplier of the second index; also the first finalizer multiplier.
+pub(crate) const K2: u64 = 0xBF58_476D_1CE4_E5B9;
+const K3: u64 = 0x94D0_49BB_1331_11EB;
+
+/// Scale of the 53-bit fraction behind [`hash_unit`]: `2^53`.
+pub(crate) const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
 /// Mixes a seed and two indices into a uniform 64-bit value.
 ///
 /// SplitMix64-style finalization over a Weyl-sequence combination of the
 /// inputs; passes the usual avalanche sanity checks for this use case
 /// (distinct `(seed, a, b)` triples decorrelate).
 pub fn hash_u64(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z =
-        seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    finalize(seed ^ a.wrapping_mul(K1) ^ b.wrapping_mul(K2))
+}
+
+/// The SplitMix64 finalizer shared by [`hash_u64`] and the uniform
+/// injector's per-word kernel, which hoists the `seed ^ a·K1` term out of
+/// its bit loop.
+#[inline(always)]
+pub(crate) fn finalize(mut z: u64) -> u64 {
+    z = z.wrapping_add(K1);
+    z = (z ^ (z >> 30)).wrapping_mul(K2);
+    z = (z ^ (z >> 27)).wrapping_mul(K3);
     z ^ (z >> 31)
 }
 
 /// Maps the hash to a double in `[0, 1)`.
+///
+/// The value is exactly `x · 2^-53` for the integer `x = hash_u64(..) >> 11`
+/// (every `x < 2^53` is representable and the scaling is a power of two),
+/// so for any `p >= 0`, `hash_unit(..) <= p` holds exactly when
+/// `x <= floor(p · 2^53)`. The uniform injector decides flips with that
+/// one integer compare.
 pub fn hash_unit(seed: u64, a: u64, b: u64) -> f64 {
     // 53 high-quality bits -> [0, 1).
-    (hash_u64(seed, a, b) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (hash_u64(seed, a, b) >> 11) as f64 * (1.0 / UNIT_SCALE)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The paper's uniform random bit error model (`BErr_p`, Sec. 3).
 
-use crate::hash::hash_unit;
+use crate::hash::{finalize, hash_unit, K1, K2, UNIT_SCALE};
 use crate::ErrorInjector;
 
 /// A virtual chip with uniformly random, voltage-persistent bit errors.
@@ -9,6 +9,12 @@ use crate::ErrorInjector;
 /// `(seed, weight index, bit index)`. Evaluating at a lower rate `p' <= p`
 /// yields a subset of the flips at `p`, exactly matching the paper's error
 /// model: *"bit errors at probability p' ≤ p also occur at probability p"*.
+///
+/// [`UniformChip::latent`] and [`UniformChip::flips`] are the reference
+/// definition. The injector decides the same flips without floating point:
+/// the latent is exactly `x · 2^-53` for the integer `x = hash_u64(..) >> 11`,
+/// so `latent <= p` holds exactly when `x <= floor(p · 2^53)`, a threshold
+/// computed once per [`ErrorInjector::inject`] call.
 ///
 /// # Examples
 ///
@@ -81,13 +87,17 @@ impl ErrorInjector for UniformInjector {
         if self.p <= 0.0 {
             return;
         }
+        // One hash and one integer compare per bit (see `UniformChip`): the
+        // word term `seed ^ wi·K1` is hoisted, the `bits` hashes of a word
+        // are independent, and the mask is built without branches.
+        let threshold = (self.p * UNIT_SCALE).floor() as u64;
+        let bit_terms: [u64; 8] = std::array::from_fn(|bit| (bit as u64).wrapping_mul(K2));
+        let bit_terms = &bit_terms[..usize::from(bits)];
         for (i, word) in words.iter_mut().enumerate() {
-            let wi = word_offset + i;
+            let base = self.chip.seed ^ ((word_offset + i) as u64).wrapping_mul(K1);
             let mut flip_mask = 0u8;
-            for bit in 0..bits {
-                if self.chip.flips(self.p, wi, bit) {
-                    flip_mask |= 1 << bit;
-                }
+            for (bit, &term) in bit_terms.iter().enumerate() {
+                flip_mask |= u8::from(finalize(base ^ term) >> 11 <= threshold) << bit;
             }
             *word ^= flip_mask;
         }

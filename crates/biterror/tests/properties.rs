@@ -3,6 +3,36 @@
 use bitrobust_biterror::{ErrorInjector, UniformChip};
 use proptest::prelude::*;
 
+/// The per-bit reference the uniform injector must match: the chip's
+/// `flips` on every live bit, and no flips at all at rate 0.
+fn reference_inject(chip: UniformChip, p: f64, words: &mut [u8], bits: u8, word_offset: usize) {
+    if p <= 0.0 {
+        return;
+    }
+    for (i, word) in words.iter_mut().enumerate() {
+        for bit in 0..bits {
+            if chip.flips(p, word_offset + i, bit) {
+                *word ^= 1 << bit;
+            }
+        }
+    }
+}
+
+/// Injects at `p` through the injector and through the reference.
+fn both_ways(
+    chip: UniformChip,
+    p: f64,
+    words: &[u8],
+    bits: u8,
+    offset: usize,
+) -> (Vec<u8>, Vec<u8>) {
+    let mut fast = words.to_vec();
+    chip.at_rate(p).inject(&mut fast, bits, offset);
+    let mut reference = words.to_vec();
+    reference_inject(chip, p, &mut reference, bits, offset);
+    (fast, reference)
+}
+
 proptest! {
     /// The paper's persistence axiom: flips at rate p' <= p are a subset of
     /// flips at rate p, for any chip and any pair of rates.
@@ -67,5 +97,52 @@ proptest! {
         let mut window = vec![0u8; 256];
         chip.at_rate(0.1).inject(&mut window, 8, offset);
         prop_assert_eq!(&window[..], &full[offset..offset + 256]);
+    }
+
+    /// The integer-threshold injector flips exactly the bits the per-bit
+    /// `flips` reference does, for rates spread over many magnitudes.
+    #[test]
+    fn inject_matches_per_bit_reference(seed in any::<u64>(), offset in 0usize..1 << 40,
+                                        bits in 1u8..9, mantissa in 0.0f64..1.0,
+                                        scale in 0i32..60,
+                                        words in prop::collection::vec(any::<u8>(), 1..64)) {
+        let p = mantissa * 2f64.powi(-scale);
+        let (fast, reference) = both_ways(UniformChip::new(seed), p, &words, bits, offset);
+        prop_assert_eq!(fast, reference, "p = {:e}", p);
+    }
+
+    /// The extreme rates: none flip at 0, all live bits flip at 1, and the
+    /// smallest positive rate flips only bits whose latent is exactly 0.
+    #[test]
+    fn inject_matches_reference_at_extreme_rates(seed in any::<u64>(), offset in 0usize..1 << 40,
+                                                 bits in 1u8..9,
+                                                 words in prop::collection::vec(any::<u8>(), 1..64)) {
+        let chip = UniformChip::new(seed);
+        for p in [0.0, 1.0, f64::from_bits(1)] {
+            let (fast, reference) = both_ways(chip, p, &words, bits, offset);
+            prop_assert_eq!(fast, reference, "p = {:e}", p);
+        }
+        let mask = ((1u16 << bits) - 1) as u8;
+        let (flipped, _) = both_ways(chip, 1.0, &words, bits, offset);
+        prop_assert!(flipped.iter().zip(&words).all(|(f, w)| f ^ w == mask));
+    }
+
+    /// A rate equal to a bit's latent `k·2^-53` flips that bit, and the
+    /// next f64 below it does not: the threshold sits exactly on the
+    /// latent, with no rounding slack either way.
+    #[test]
+    fn boundary_rates_flip_exactly_at_the_latent(seed in any::<u64>(), wi in 0usize..1 << 40,
+                                                 bit in 0u8..8) {
+        let chip = UniformChip::new(seed);
+        let p = chip.latent(wi, bit);
+        if p == 0.0 {
+            return; // rate 0 flips nothing by definition
+        }
+        let below = f64::from_bits(p.to_bits() - 1);
+        for (rate, flips) in [(p, true), (below, false)] {
+            let (fast, reference) = both_ways(chip, rate, &[0], 8, wi);
+            prop_assert_eq!(&fast, &reference, "p = {:e}", rate);
+            prop_assert_eq!(fast[0] >> bit & 1 == 1, flips, "p = {:e}", rate);
+        }
     }
 }

@@ -79,7 +79,11 @@
 //! image write overwrites every parameter tensor and evaluation reads
 //! nothing else. The lazy entry points build the perturbed *quantized
 //! images* one wave at a time, so peak memory stays at one wave of images
-//! for model-zoo-sized grids.
+//! for model-zoo-sized grids. A wave's images are built in parallel, one
+//! per work item of a [`crate::scheduler::execute`] fan-out, before the
+//! wave is evaluated: each image is a pure function of its cell index and
+//! lands in its own slot, in index order, so building on the pool changes
+//! neither results nor `on_cell` order.
 //!
 //! # Determinism guarantee
 //!
@@ -285,19 +289,25 @@ impl<'a> Campaign<'a> {
     }
 
     /// Like [`Campaign::run`], but builds the quantized images **lazily**,
-    /// one wave of patterns at a time: `make_image(i)` is called for
-    /// `i in 0..n_images` as each wave starts, so at most one wave of
-    /// images (plus the pool-bounded scratch replicas) is alive at a time.
-    /// Use this for large grids where materializing every perturbed weight
-    /// copy up front would dominate memory.
+    /// one wave of patterns at a time: the images of `i in 0..n_images` are
+    /// built as each wave starts, so at most one wave of images (plus the
+    /// pool-bounded scratch replicas) is alive at a time. Use this for
+    /// large grids where materializing every perturbed weight copy up front
+    /// would dominate memory.
+    ///
+    /// A wave's images are built in parallel, so `make_image` must be
+    /// `Sync`: it is called **exactly once per index**, on any pool thread,
+    /// in any order. Results do not depend on where or when it runs as long
+    /// as the image it returns is a pure function of the index.
     ///
     /// # Panics
     ///
-    /// As [`Campaign::run`].
+    /// As [`Campaign::run`]; a panic in `make_image` propagates to the
+    /// caller.
     pub fn run_lazy(
         self,
         n_images: usize,
-        make_image: impl Fn(usize) -> QuantizedModel,
+        make_image: impl Fn(usize) -> QuantizedModel + Sync,
     ) -> Vec<EvalResult> {
         self.drive(n_images, |i| (0, CellImage::Owned(make_image(i))), false)
     }
@@ -315,14 +325,18 @@ impl<'a> Campaign<'a> {
     /// resumed sweep skip already-stored cells without perturbing the
     /// rest).
     ///
+    /// `make_cell` follows the [`Campaign::run_lazy`] contract: `Sync`,
+    /// called exactly once per index, on any pool thread, in any order.
+    ///
     /// # Panics
     ///
     /// Panics if a cell's template index is out of range, or on the
-    /// [`Campaign::run`] conditions.
+    /// [`Campaign::run`] conditions; a panic in `make_cell` propagates to
+    /// the caller.
     pub fn run_cells(
         self,
         n_cells: usize,
-        make_cell: impl Fn(usize) -> (usize, QuantizedModel),
+        make_cell: impl Fn(usize) -> (usize, QuantizedModel) + Sync,
     ) -> Vec<EvalResult> {
         self.drive(
             n_cells,
@@ -339,7 +353,7 @@ impl<'a> Campaign<'a> {
     fn drive<'i>(
         self,
         n_cells: usize,
-        make: impl Fn(usize) -> (usize, CellImage<'i>),
+        make: impl Fn(usize) -> (usize, CellImage<'i>) + Sync,
         eager: bool,
     ) -> Vec<EvalResult> {
         let Campaign { templates, dataset, batch_size, mode, serial, mut on_cell } = self;
@@ -347,6 +361,9 @@ impl<'a> Campaign<'a> {
         let make = |i| {
             let (template, cell) = make(i);
             assert!(template < templates.len(), "cell {i} template index {template} out of range");
+            if !eager {
+                bitrobust_obs::counter_add("campaign.images_built", 1);
+            }
             (template, cell)
         };
         let n = dataset.len();
@@ -389,7 +406,13 @@ impl<'a> Campaign<'a> {
             bitrobust_obs::span!("campaign.wave");
             bitrobust_obs::counter_add("campaign.cells", (end - start) as u64);
             bitrobust_obs::record("campaign.wave_cells", (end - start) as u64);
-            let cells: Vec<(usize, CellImage)> = (start..end).map(&make).collect();
+            // A wave's cells are built in parallel, one per pool item: each
+            // is a pure function of its index and lands in its own slot, in
+            // index order, so the fan-out never changes bytes.
+            let cells: Vec<(usize, CellImage)> = {
+                bitrobust_obs::span!("campaign.build");
+                scheduler::execute(end - start, 1, |track, _| make(start + track))
+            };
             let partials = scheduler::execute_tracked(
                 cells.len(),
                 n_batches,
@@ -673,6 +696,7 @@ mod tests {
     use crate::{evaluate, robust_eval_uniform, EVAL_BATCH};
     use bitrobust_data::SynthDataset;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny_setup() -> (Model, Dataset) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -886,6 +910,68 @@ mod tests {
         let (mut model, test) = tiny_setup();
         let images = uniform_images(&mut model, 1, 0.0);
         let _ = Campaign::new(&model, &test).mode(Mode::Train).run(&images);
+    }
+
+    /// One call counter per cell index.
+    fn call_counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn calls(counters: &[AtomicUsize]) -> Vec<usize> {
+        counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn lazy_paths_build_each_image_exactly_once() {
+        let (mut model_a, test) = tiny_setup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut model_b = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
+        let images_a = uniform_images(&mut model_a, 5, 0.02);
+        let images_b = uniform_images(&mut model_b, 5, 0.01);
+        let templates = [&model_a, &model_b];
+        // The default batch gives one-cell waves; one batch per cell gives
+        // waves as wide as the pool, so their images build in parallel.
+        for batch_size in [EVAL_BATCH, test.len()] {
+            let counters = call_counters(images_a.len());
+            let lazy = Campaign::new(&model_a, &test).batch_size(batch_size).run_lazy(
+                images_a.len(),
+                |i| {
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                    images_a[i].clone()
+                },
+            );
+            assert_eq!(calls(&counters), vec![1; images_a.len()], "run_lazy builds");
+            let serial = Campaign::new(&model_a, &test).batch_size(batch_size).serial();
+            assert_eq!(lazy, serial.run(&images_a));
+
+            // Interleave the two templates' cells.
+            let n = images_a.len() + images_b.len();
+            let cell = |i: usize| (i % 2, [&images_a, &images_b][i % 2][i / 2].clone());
+            let counters = call_counters(n);
+            let mut streamed = Vec::new();
+            let cells = Campaign::multi(&templates, &test)
+                .batch_size(batch_size)
+                .on_cell(|i, _| streamed.push(i))
+                .run_cells(n, |i| {
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                    cell(i)
+                });
+            assert_eq!(calls(&counters), vec![1; n], "run_cells builds");
+            assert_eq!(streamed, (0..n).collect::<Vec<_>>());
+            let serial = Campaign::multi(&templates, &test).batch_size(batch_size).serial();
+            assert_eq!(cells, serial.run_cells(n, cell));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "template index")]
+    fn parallel_path_rejects_out_of_range_template_index() {
+        let (mut model, test) = tiny_setup();
+        let image = uniform_images(&mut model, 1, 0.0).remove(0);
+        // One batch per cell: the bad cell is built on the parallel fan-out.
+        let _ = Campaign::multi(&[&model], &test)
+            .batch_size(test.len())
+            .run_cells(8, |i| (usize::from(i == 5), image.clone()));
     }
 
     #[test]

@@ -233,8 +233,9 @@ impl RobustEval {
 /// The injectors are the "chips": for the paper's headline numbers these
 /// are [`UniformChip`]s at a common rate `p` (see [`robust_eval_uniform`]);
 /// for the generalization experiments they are profiled chips at an
-/// operating voltage with varying memory offsets.
-pub fn robust_eval<I: ErrorInjector>(
+/// operating voltage with varying memory offsets. Images are built in
+/// parallel, so the injectors are shared across pool threads (`Sync`).
+pub fn robust_eval<I: ErrorInjector + Sync>(
     model: &Model,
     scheme: QuantScheme,
     dataset: &Dataset,

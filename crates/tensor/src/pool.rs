@@ -10,7 +10,9 @@
 //! does not return until every index has been processed, which is what makes
 //! lending non-`'static` closures to the workers sound.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -48,16 +50,46 @@ const SERIAL_CUTOFF: usize = 2;
 
 type Task = dyn Fn(usize) + Sync;
 
+/// The panic of a job's lowest panicking index, with that index.
+type Panic = (usize, Box<dyn Any + Send>);
+
 /// A type-erased pointer to the submitted closure plus its iteration state.
 ///
 /// The raw pointer borrows from the submitting stack frame. This is sound
-/// because [`ThreadPool::parallel_for`] does not return until every worker
-/// has finished executing the job (see `active` accounting below).
+/// because [`ThreadPool::parallel_for`] does not return (nor unwind) until
+/// every worker has finished executing the job (see `active` accounting
+/// below): task panics are caught on every thread, so each worker always
+/// reaches its decrement.
 #[derive(Clone)]
 struct Job {
     func: *const Task,
     next: Arc<AtomicUsize>,
     n: usize,
+    panic: Arc<Mutex<Option<Panic>>>,
+}
+
+impl Job {
+    /// Claims and runs indices until none are left. A panicking task is
+    /// caught and recorded, and no further indices are claimed; indices
+    /// already claimed still finish. Every index below a panicking one was
+    /// claimed before it, so the recorded lowest panicking index does not
+    /// depend on scheduling when task panics depend only on their index.
+    fn run(&self, func: &(dyn Fn(usize) + Sync + '_)) {
+        let _scope = JobScope::enter();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                break;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| func(i))) {
+                self.next.store(self.n, Ordering::Relaxed);
+                let mut panic = self.panic.lock();
+                if panic.as_ref().is_none_or(|&(first, _)| i < first) {
+                    *panic = Some((i, payload));
+                }
+            }
+        }
+    }
 }
 
 // SAFETY: the closure behind `func` is `Sync`, and the pointer is only
@@ -161,6 +193,13 @@ impl ThreadPool {
     /// job executes its iterations inline on the calling worker (the outer
     /// fan-out already owns the pool), so parallel layers can be driven from
     /// parallel outer loops such as the fault-injection campaign engine.
+    ///
+    /// # Panics
+    ///
+    /// If `f` panics, the panic propagates to the caller once every thread
+    /// has left the job; the pool stays usable. When several indices panic,
+    /// the lowest one's payload is resumed. Indices not yet claimed when
+    /// the first panic is caught are skipped.
     pub fn parallel_for<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -180,17 +219,21 @@ impl ThreadPool {
         // One job in flight at a time; concurrent submitters queue here.
         let _guard = self.submit_lock.lock();
 
-        let next = Arc::new(AtomicUsize::new(0));
         let f_ref: &(dyn Fn(usize) + Sync + '_) = &f;
         // SAFETY: lifetime erasure only; the pointer is dropped before this
         // function returns (workers finish before `active` reaches zero).
         let f_static: &'static Task = unsafe { std::mem::transmute(f_ref) };
-        let job = Job { func: f_static as *const Task, next: Arc::clone(&next), n };
+        let job = Job {
+            func: f_static as *const Task,
+            next: Arc::new(AtomicUsize::new(0)),
+            n,
+            panic: Arc::new(Mutex::new(None)),
+        };
 
         let epoch;
         {
             let mut state = self.inner.state.lock();
-            state.job = Some(job);
+            state.job = Some(job.clone());
             state.epoch += 1;
             state.active = self.workers;
             epoch = state.epoch;
@@ -198,22 +241,18 @@ impl ThreadPool {
         self.inner.work_ready.notify_all();
 
         // The submitter chips in instead of idling.
-        {
-            let _scope = JobScope::enter();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            }
-        }
+        job.run(f_ref);
 
         let mut state = self.inner.state.lock();
         while !(state.active == 0 && state.epoch == epoch) {
             self.inner.work_done.wait(&mut state);
         }
         state.job = None;
+        drop(state);
+        let panic = job.panic.lock().take();
+        if let Some((_, payload)) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -246,16 +285,7 @@ fn worker_loop(inner: &Inner) {
         // SAFETY: the submitter keeps the closure alive until `active == 0`,
         // which we only signal after the last dereference below.
         let func = unsafe { &*job.func };
-        {
-            let _scope = JobScope::enter();
-            loop {
-                let i = job.next.fetch_add(1, Ordering::Relaxed);
-                if i >= job.n {
-                    break;
-                }
-                func(i);
-            }
-        }
+        job.run(func);
 
         let mut state = inner.state.lock();
         state.active -= 1;
@@ -442,6 +472,43 @@ mod tests {
             assert_eq!(buf[0], (i * 10) as f32);
             assert_eq!(buf[31], (i * 10 + 3) as f32);
         }
+    }
+
+    #[test]
+    fn task_panics_propagate_lowest_index_and_pool_survives() {
+        // Runs on a helper thread so a pool that hangs after a task panic
+        // fails the test instead of stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ThreadPool::new(3);
+            let mut messages = Vec::new();
+            for panic_at in [&[1][..], &[40], &[1, 40], &[63], &[0, 1, 2, 3]] {
+                for _ in 0..10 {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        pool.parallel_for(64, |i| {
+                            if panic_at.contains(&i) {
+                                panic!("task {i} failed");
+                            }
+                        })
+                    }));
+                    let payload = outcome.expect_err("a task panic must reach the submitter");
+                    let message = payload.downcast::<String>().map(|m| *m).unwrap_or_default();
+                    messages.push((panic_at[0], message));
+                }
+            }
+            let counter = AtomicUsize::new(0);
+            pool.parallel_for(64, |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+            tx.send((messages, counter.into_inner())).expect("receiver alive");
+        });
+        let (messages, after) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("parallel_for hung after a task panic");
+        for (lowest, message) in messages {
+            assert_eq!(message, format!("task {lowest} failed"));
+        }
+        assert_eq!(after, 64, "the pool must stay usable after a task panic");
     }
 
     #[test]
