@@ -3,7 +3,7 @@
 //! reference path against the parallel fault-injection campaign engine,
 //! plus clean (single-pattern) evaluation through the same engine,
 //! single-model vs data-parallel RandBET training, and per-model
-//! `run_axis` campaigns vs the orchestrated multi-model sweep
+//! single-model sweeps vs the orchestrated multi-model sweep
 //! (`run_sweep`).
 //!
 //! Besides the criterion benchmarks, running this bench writes a
@@ -18,9 +18,9 @@ use std::time::Instant;
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, robust_eval_uniform, run_axis, run_sweep, train, ArchKind,
-    Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval,
-    SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
+    build, evaluate, evaluate_serial, robust_eval_uniform, run_sweep, train, ArchKind, Campaign,
+    ChipAxis, DataParallel, NormKind, QuantizedModel, RandBetVariant, RobustEval, SweepAxis,
+    SweepModel, SweepOptions, TrainConfig, TrainMethod, TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -81,29 +81,34 @@ fn sweep_setup() -> (Vec<Model>, Vec<f64>, Dataset) {
     (models, vec![0.005, RATE], test_ds)
 }
 
+fn sweep_entry(i: usize, model: &Model) -> SweepModel<'_> {
+    SweepModel::new(format!("bench-{i}"), QuantScheme::rquant(8), model)
+}
+
+/// One store-less sweep over `models` (pure compute), returning each
+/// model's per-rate results.
+fn sweep(models: &[SweepModel], rates: &[f64], test_ds: &Dataset) -> Vec<Vec<RobustEval>> {
+    let axes = vec![SweepAxis::new("uniform", ChipAxis::uniform(rates.to_vec(), SWEEP_CHIPS, 42))];
+    let opts = SweepOptions { batch_size: BATCH, mode: Mode::Eval };
+    let results = run_sweep(models, &axes, test_ds, &opts, None, |_, _| {});
+    (0..models.len()).map(|mi| results.robust(mi, 0)).collect()
+}
+
 /// The baseline the orchestrator replaces: one (already parallel)
-/// `run_axis` campaign per model, in sequence.
+/// single-model sweep per model, in sequence.
 fn per_model_grids(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec<Vec<RobustEval>> {
-    let axis = ChipAxis::uniform(rates.to_vec(), SWEEP_CHIPS, 42);
-    let schemes = [QuantScheme::rquant(8)];
     models
         .iter()
-        .map(|m| run_axis(m, &schemes, &axis, test_ds, BATCH, Mode::Eval).remove(0))
+        .enumerate()
+        .flat_map(|(i, m)| sweep(&[sweep_entry(i, m)], rates, test_ds))
         .collect()
 }
 
-/// The orchestrated path: every model's cells in one fan-out (no store —
-/// this measures pure compute).
+/// The orchestrated path: every model's cells in one fan-out.
 fn orchestrated_sweep(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec<Vec<RobustEval>> {
-    let entries: Vec<SweepModel> = models
-        .iter()
-        .enumerate()
-        .map(|(i, m)| SweepModel::new(format!("bench-{i}"), QuantScheme::rquant(8), m))
-        .collect();
-    let axes = vec![SweepAxis::new("uniform", ChipAxis::uniform(rates.to_vec(), SWEEP_CHIPS, 42))];
-    let opts = SweepOptions { batch_size: BATCH, mode: Mode::Eval };
-    let results = run_sweep(&entries, &axes, test_ds, &opts, None, |_, _| {});
-    (0..models.len()).map(|mi| results.robust(mi, 0)).collect()
+    let entries: Vec<SweepModel> =
+        models.iter().enumerate().map(|(i, m)| sweep_entry(i, m)).collect();
+    sweep(&entries, rates, test_ds)
 }
 
 /// The native integer-domain path: compile each chip image to a `QNet`

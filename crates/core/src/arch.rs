@@ -4,8 +4,8 @@
 //! MNIST), a Wide ResNet on CIFAR100, and ResNet-20/50 for the architecture
 //! ablation. Training here runs on CPU, so every architecture keeps its
 //! *shape* (conv+norm+ReLU stacks with the same pooling schedule, residual
-//! blocks with projection shortcuts) at reduced width; `DESIGN.md` records
-//! the substitution. Group normalization is the default, matching the
+//! blocks with projection shortcuts) at reduced width. Group
+//! normalization is the default, matching the
 //! paper's finding that BatchNorm is fragile under weight bit errors
 //! (Tab. 10).
 

@@ -5,8 +5,9 @@
 //! fans out over the thread pool through the campaign engine
 //! ([`crate::campaign`]). Clean evaluation is a single-pattern campaign
 //! (batches are the work items); robust evaluation is a multi-pattern one
-//! (chips × batches) driven through the axis surface
-//! ([`crate::run_axis`] over a [`crate::ChipAxis`]). Results are
+//! (chips × batches) over a list of injectors ([`robust_eval`]). Model ×
+//! rate grids go through the durable sweep orchestrator
+//! ([`crate::run_sweep`]). Results are
 //! byte-identical to the serial reference paths ([`evaluate_serial`],
 //! [`crate::Campaign::serial`]) at any thread count.
 //!
@@ -259,10 +260,10 @@ pub fn robust_eval<I: ErrorInjector + Sync>(
 /// default protocol: 50 chips, fixed seeds, shared across all models and
 /// rates so results are comparable).
 ///
-/// A single-rate [`crate::ChipAxis::Uniform`] driven through
-/// [`crate::run_axis`] — uniform grids are not a separate code path, so
-/// per-chip errors are bit-identical to the same cell of any larger
-/// axis/grid campaign with the same seeds.
+/// [`robust_eval`] over `UniformChip::new(chip_seed_base + c).at_rate(p)`
+/// for `c in 0..n_chips`: per-chip errors are bit-identical to the same
+/// rate's cells of a [`crate::ChipAxis::Uniform`] sweep with the same
+/// seeds.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's evaluation protocol knobs
 pub fn robust_eval_uniform(
     model: &Model,
@@ -274,24 +275,15 @@ pub fn robust_eval_uniform(
     batch_size: usize,
     mode: Mode,
 ) -> RobustEval {
-    let axis = crate::campaign::ChipAxis::uniform(vec![p], n_chips, chip_seed_base);
-    crate::campaign::run_axis(
-        model,
-        std::slice::from_ref(&scheme),
-        &axis,
-        dataset,
-        batch_size,
-        mode,
-    )
-    .swap_remove(0)
-    .swap_remove(0)
+    let chips = uniform_chips(p, n_chips, chip_seed_base);
+    robust_eval(model, scheme, dataset, &chips, batch_size, mode)
 }
 
 /// The serial reference implementation of [`robust_eval_uniform`], built
 /// on [`crate::Campaign::serial`]: bit-identical results, one pattern
-/// and one batch at a time. Exists for determinism tests (e.g. the
-/// serial-vs-parallel in-training RErr probe comparison); real callers
-/// should use [`robust_eval_uniform`].
+/// and one batch at a time. Exists for determinism tests (e.g. checking
+/// the in-training RErr probe against it); real callers should use
+/// [`robust_eval_uniform`].
 #[allow(clippy::too_many_arguments)] // mirrors robust_eval_uniform exactly
 pub fn robust_eval_uniform_serial(
     model: &Model,

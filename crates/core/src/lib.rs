@@ -22,14 +22,14 @@
 //!
 //! The crate also implements the non-generalizing fixed-pattern baseline
 //! (`PATTBET`, [`TrainMethod::PattBet`]), the `Err`/`RErr` evaluation
-//! protocol ([`evaluate`], [`robust_eval_uniform`]) backed by the parallel
-//! fault-injection [`campaign`] engine (the [`Campaign`] builder, uniform
-//! and profiled-chip axes via [`run_axis`]), the reusable fork-join
-//! [`scheduler`] every batch-parallel subsystem (campaigns, sweeps,
-//! data-parallel training, the `bitrobust-serve` inference service) runs
-//! through, the durable [`sweep`] orchestrator (multi-model × multi-axis
-//! campaigns checkpointed to a resumable on-disk [`SweepStore`] —
-//! [`run_sweep`]), deterministic data-parallel training
+//! protocol ([`evaluate`], [`robust_eval`], [`robust_eval_uniform`]) backed
+//! by the parallel fault-injection [`campaign`] engine (the [`Campaign`]
+//! builder), the reusable fork-join [`scheduler`] every batch-parallel
+//! subsystem (campaigns, sweeps, data-parallel training, the
+//! `bitrobust-serve` inference service) runs through, the durable
+//! [`sweep`] orchestrator (multi-model × multi-axis grids over uniform and
+//! profiled-chip [`ChipAxis`] axes, checkpointed to a resumable on-disk
+//! [`SweepStore`] — [`run_sweep`]), deterministic data-parallel training
 //! ([`TrainConfig::data_parallel`] → [`data_parallel`]),
 //! the Prop. 1 generalization bound ([`deviation_bound`]), and the energy
 //! trade-off analysis combining the SRAM voltage/energy models with
@@ -86,7 +86,7 @@ mod train;
 
 pub use arch::{build, ArchKind, BuiltModel, NormKind};
 pub use bound::{deviation_bound, deviation_probability};
-pub use campaign::{run_axis, run_axis_streaming, AxisCell, Campaign, ChipAxis};
+pub use campaign::{Campaign, ChipAxis};
 pub use data_parallel::{DataParallel, TRAIN_SHARDS};
 pub use ecc::{apply_secded, multi_error_probability, DoubleErrorPolicy, EccStats, SecdedConfig};
 pub use energy::{best_saving_within, energy_tradeoff, TradeoffPoint};

@@ -203,8 +203,8 @@ impl SweepResults {
     }
 
     /// The `(model, axis)` block aggregated per group: one [`RobustEval`]
-    /// per rate, exactly as [`crate::run_axis`] would return for that
-    /// model and axis alone.
+    /// per rate. On a uniform axis each entry equals
+    /// [`crate::robust_eval_uniform`] at that rate with the axis's chips.
     ///
     /// # Panics
     ///
@@ -412,7 +412,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::arch::{build, ArchKind, NormKind};
-    use crate::{run_axis, EVAL_BATCH};
+    use crate::robust_eval_uniform;
     use bitrobust_data::SynthDataset;
     use rand::SeedableRng;
 
@@ -428,7 +428,8 @@ mod tests {
     fn sweep_matches_per_model_axis_runs() {
         let (a, b, test) = two_models();
         let scheme = QuantScheme::rquant(8);
-        let axis = SweepAxis::new("uniform", ChipAxis::uniform(vec![0.001, 0.01], 3, 1000));
+        let rates = [0.001, 0.01];
+        let axis = SweepAxis::new("uniform", ChipAxis::uniform(rates.to_vec(), 3, 1000));
         let models = vec![SweepModel::new("a", scheme, &a), SweepModel::new("b", scheme, &b)];
         let results = run_sweep(
             &models,
@@ -442,8 +443,12 @@ mod tests {
         assert_eq!(results.resumed, 0);
 
         for (mi, model) in [&a, &b].into_iter().enumerate() {
-            let alone =
-                run_axis(model, &[scheme], &axis.axis, &test, EVAL_BATCH, Mode::Eval).remove(0);
+            let alone: Vec<RobustEval> = rates
+                .iter()
+                .map(|&p| {
+                    robust_eval_uniform(model, scheme, &test, p, 3, 1000, EVAL_BATCH, Mode::Eval)
+                })
+                .collect();
             assert_eq!(results.robust(mi, 0), alone, "model {mi}");
         }
     }

@@ -10,10 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::data_parallel::{sharded_forward_backward, DataParallel};
-use crate::eval::{
-    evaluate, quantized_error, robust_eval_uniform, robust_eval_uniform_serial, RobustEval,
-    EVAL_BATCH,
-};
+use crate::eval::{evaluate, quantized_error, robust_eval_uniform, RobustEval, EVAL_BATCH};
 use crate::scheduler::ShardReplicas;
 use crate::QuantizedModel;
 
@@ -119,17 +116,13 @@ pub struct RErrProbe {
     pub chip_seed_base: u64,
     /// Evaluation batch size.
     pub batch_size: usize,
-    /// Route the probe through the serial reference engine instead of the
-    /// parallel campaign. Results are bit-identical either way — this
-    /// exists so the determinism suite can prove exactly that.
-    pub serial: bool,
 }
 
 impl RErrProbe {
     /// A probe at rate `p` over `n_chips` chips with the protocol defaults
-    /// (chip seed base 1000, [`EVAL_BATCH`], parallel engine).
+    /// (chip seed base 1000, [`EVAL_BATCH`]).
     pub fn new(p: f64, n_chips: usize) -> Self {
-        Self { p, n_chips, chip_seed_base: 1000, batch_size: EVAL_BATCH, serial: false }
+        Self { p, n_chips, chip_seed_base: 1000, batch_size: EVAL_BATCH }
     }
 }
 
@@ -489,30 +482,16 @@ pub fn train(
             if let Some(wmax) = cfg.method.wmax() {
                 snapshot.clip_params(wmax);
             }
-            let r = if probe.serial {
-                robust_eval_uniform_serial(
-                    &snapshot,
-                    scheme,
-                    test_ds,
-                    probe.p,
-                    probe.n_chips,
-                    probe.chip_seed_base,
-                    probe.batch_size,
-                    Mode::Eval,
-                )
-            } else {
-                robust_eval_uniform(
-                    &snapshot,
-                    scheme,
-                    test_ds,
-                    probe.p,
-                    probe.n_chips,
-                    probe.chip_seed_base,
-                    probe.batch_size,
-                    Mode::Eval,
-                )
-            };
-            epoch_rerr.push(r);
+            epoch_rerr.push(robust_eval_uniform(
+                &snapshot,
+                scheme,
+                test_ds,
+                probe.p,
+                probe.n_chips,
+                probe.chip_seed_base,
+                probe.batch_size,
+                Mode::Eval,
+            ));
         }
     }
 
@@ -695,25 +674,36 @@ mod tests {
         assert_eq!(report.final_loss, *report.epoch_losses.last().unwrap());
     }
 
+    /// The final epoch's probe snapshot is the returned model (clipped
+    /// the same way), so its parallel probe must equal the serial
+    /// reference evaluation of that model.
     #[test]
     fn rerr_probe_serial_and_parallel_agree() {
-        let mut reports = Vec::new();
-        for serial in [false, true] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
-            let mut model = built.model;
-            let (train_ds, test_ds) = mnist_subset();
-            let mut cfg = quick_cfg(TrainMethod::RandBet {
-                wmax: Some(0.1),
-                p: 0.01,
-                variant: RandBetVariant::Standard,
-            });
-            cfg.warmup_loss = 100.0;
-            cfg.epochs = 2;
-            cfg.rerr_probe = Some(RErrProbe { serial, ..RErrProbe::new(0.01, 2) });
-            reports.push(train(&mut model, &train_ds, &test_ds, &cfg));
-        }
-        assert_eq!(reports[0], reports[1], "probe engine must not affect any reported number");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
+        let mut model = built.model;
+        let (train_ds, test_ds) = mnist_subset();
+        let mut cfg = quick_cfg(TrainMethod::RandBet {
+            wmax: Some(0.1),
+            p: 0.01,
+            variant: RandBetVariant::Standard,
+        });
+        cfg.warmup_loss = 100.0;
+        cfg.epochs = 2;
+        let probe = RErrProbe::new(0.01, 2);
+        cfg.rerr_probe = Some(probe);
+        let report = train(&mut model, &train_ds, &test_ds, &cfg);
+        let serial = crate::robust_eval_uniform_serial(
+            &model,
+            QuantScheme::rquant(8),
+            &test_ds,
+            probe.p,
+            probe.n_chips,
+            probe.chip_seed_base,
+            probe.batch_size,
+            Mode::Eval,
+        );
+        assert_eq!(report.epoch_rerr.last(), Some(&serial), "parallel probe must match serial");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Image-build accounting on the axis path.
+//! Image-build accounting on the sweep path.
 //!
-//! `run_axis_streaming` builds every cell's perturbed image inside the
-//! campaign engine, out of the caller's reach, so the exactly-once
-//! guarantee is read from the `campaign.images_built` counter. Counters
-//! are process-wide; this binary holds this one test so no other campaign
+//! `run_sweep` builds every cell's perturbed image inside the campaign
+//! engine, out of the caller's reach, so the exactly-once guarantee is
+//! read from the `campaign.images_built` counter. Counters are
+//! process-wide; this binary holds this one test so no other campaign
 //! adds to them.
 
 use bitrobust_core::{
-    build, robust_eval_uniform_serial, run_axis_streaming, ArchKind, AxisCell, ChipAxis, NormKind,
+    build, robust_eval_uniform_serial, run_sweep, ArchKind, ChipAxis, NormKind, SweepAxis,
+    SweepModel, SweepOptions,
 };
 use bitrobust_data::SynthDataset;
 use bitrobust_nn::Mode;
@@ -23,33 +24,31 @@ fn axis_streaming_builds_each_image_exactly_once() {
     let (_, test) = SynthDataset::Mnist.generate(0);
     let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
     let (rates, n_chips, seed_base) = (vec![0.001, 0.01, 0.05], 4, 1000);
-    let axis = ChipAxis::uniform(rates.clone(), n_chips, seed_base);
+    let models: Vec<SweepModel> =
+        schemes.iter().map(|&s| SweepModel::new(s.key(), s, &model)).collect();
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(rates.clone(), n_chips, seed_base))];
 
     // One batch per cell makes the waves as wide as the pool, so images
     // build in parallel.
     let batch = test.len();
+    let opts = SweepOptions { batch_size: batch, mode: Mode::Eval };
     let mut streamed = Vec::new();
-    let grid = run_axis_streaming(&model, &schemes, &axis, &test, batch, Mode::Eval, |cell, _| {
-        streamed.push(cell)
+    let grid = run_sweep(&models, &axes, &test, &opts, None, |cell, _| {
+        streamed.push((cell.model, cell.group, cell.point))
     });
 
-    let n_cells = schemes.len() * axis.n_points();
+    let n_points = axes[0].axis.n_points();
+    let n_cells = schemes.len() * n_points;
     let built = bitrobust_obs::snapshot().counter("campaign.images_built");
     assert_eq!(built, n_cells as u64, "every cell's image must be built exactly once");
     // Every slot was filled (the scheduler panics on a missing or doubly
     // set one), so `n_cells` builds means one per cell.
-    let expected: Vec<AxisCell> = (0..schemes.len())
-        .flat_map(|scheme| {
-            (0..axis.n_points()).map(move |point| AxisCell {
-                scheme,
-                group: point / n_chips,
-                point: point % n_chips,
-            })
-        })
+    let expected: Vec<(usize, usize, usize)> = (0..schemes.len())
+        .flat_map(|m| (0..n_points).map(move |point| (m, point / n_chips, point % n_chips)))
         .collect();
     assert_eq!(streamed, expected, "every cell must stream exactly once, in order");
-    for (scheme, per_rate) in schemes.iter().zip(&grid) {
-        for (&p, cell) in rates.iter().zip(per_rate) {
+    for (mi, scheme) in schemes.iter().enumerate() {
+        for (&p, cell) in rates.iter().zip(grid.robust(mi, 0)) {
             let serial = robust_eval_uniform_serial(
                 &model,
                 *scheme,
@@ -60,7 +59,7 @@ fn axis_streaming_builds_each_image_exactly_once() {
                 batch,
                 Mode::Eval,
             );
-            assert_eq!(*cell, serial, "axis cell differs from the serial reference");
+            assert_eq!(cell, serial, "sweep cell differs from the serial reference");
         }
     }
 }

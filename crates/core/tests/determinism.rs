@@ -31,9 +31,10 @@ mod common;
 use common::weights_fingerprint;
 
 use bitrobust_core::{
-    build, evaluate, evaluate_serial, run_axis, run_axis_streaming, train, ArchKind, Campaign,
-    ChipAxis, DataParallel, EvalResult, NormKind, PattPattern, QuantizedModel, RErrProbe,
-    RandBetVariant, SweepStore, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
+    build, evaluate, evaluate_serial, robust_eval_uniform, robust_eval_uniform_serial, run_sweep,
+    train, ArchKind, Campaign, ChipAxis, DataParallel, EvalResult, NormKind, PattPattern,
+    QuantizedModel, RErrProbe, RandBetVariant, SweepAxis, SweepModel, SweepOptions, SweepStore,
+    TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
 use bitrobust_nn::{Mode, Model};
@@ -68,8 +69,14 @@ fn mnist_subset() -> (Dataset, Dataset) {
     (Dataset::new("train", xt, yt, 10), Dataset::new("test", xe, ye, 10))
 }
 
-/// A short RandBET run with the per-epoch RErr probe enabled.
-fn probed_training_report(serial_probe: bool) -> TrainReport {
+/// The per-epoch RErr probe of [`probed_training_run`].
+fn probe() -> RErrProbe {
+    RErrProbe::new(0.01, 2)
+}
+
+/// A short RandBET run with the per-epoch RErr probe enabled; returns the
+/// report and the trained (finally clipped) model.
+fn probed_training_run() -> (TrainReport, Model, Dataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let built = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng);
     let mut model = built.model;
@@ -82,8 +89,26 @@ fn probed_training_report(serial_probe: bool) -> TrainReport {
     cfg.batch_size = 128;
     cfg.augment = AugmentConfig::none();
     cfg.warmup_loss = 100.0;
-    cfg.rerr_probe = Some(RErrProbe { serial: serial_probe, ..RErrProbe::new(0.01, 2) });
-    train(&mut model, &train_ds, &test_ds, &cfg)
+    cfg.rerr_probe = Some(probe());
+    let report = train(&mut model, &train_ds, &test_ds, &cfg);
+    (report, model, test_ds)
+}
+
+/// The serial reference of the final epoch's probe: the probe evaluates a
+/// clipped clone of the model, and training ends by clipping the model
+/// the same way, so the returned model *is* the last probe snapshot.
+fn serial_final_probe(model: &Model, test_ds: &Dataset) -> bitrobust_core::RobustEval {
+    let probe = probe();
+    robust_eval_uniform_serial(
+        model,
+        QuantScheme::rquant(8),
+        test_ds,
+        probe.p,
+        probe.n_chips,
+        probe.chip_seed_base,
+        probe.batch_size,
+        Mode::Eval,
+    )
 }
 
 /// The training methods the data-parallel determinism contract is pinned
@@ -184,15 +209,22 @@ fn streaming_campaign_matches_batch() {
 fn streaming_grid_matches_batch_grid() {
     let (model, test) = tiny_setup();
     let schemes = [QuantScheme::rquant(8), QuantScheme::rquant(4)];
-    let axis = ChipAxis::uniform(vec![0.001, 0.01], 3, 1000);
-    let batch = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval);
+    let rates = [0.001, 0.01];
+    let models: Vec<SweepModel> =
+        schemes.iter().map(|&s| SweepModel::new(s.key(), s, &model)).collect();
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(rates.to_vec(), 3, 1000))];
     let mut cells = 0usize;
-    let streamed =
-        run_axis_streaming(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval, |_, _| {
-            cells += 1
-        });
-    assert_eq!(batch, streamed);
-    assert_eq!(cells, schemes.len() * axis.n_points());
+    let grid = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| cells += 1);
+    assert_eq!(cells, schemes.len() * axes[0].axis.n_points());
+    for (mi, &scheme) in schemes.iter().enumerate() {
+        let per_rate: Vec<_> = rates
+            .iter()
+            .map(|&p| {
+                robust_eval_uniform(&model, scheme, &test, p, 3, 1000, EVAL_BATCH, Mode::Eval)
+            })
+            .collect();
+        assert_eq!(grid.robust(mi, 0), per_rate, "scheme {mi}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,16 +277,12 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
     let serial = Campaign::new(&model, &test).serial().run(&images);
 
     let mut seen = Vec::new();
-    let campaign = run_axis_streaming(
-        &model,
-        &[scheme],
-        &ChipAxis::Profiled(axis.clone()),
-        &test,
-        EVAL_BATCH,
-        Mode::Eval,
-        |cell, _| seen.push((cell.group, cell.point)),
-    )
-    .remove(0);
+    let models = [SweepModel::new("mlp", scheme, &model)];
+    let axes = [SweepAxis::new("chip1", ChipAxis::Profiled(axis.clone()))];
+    let sweep = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |cell, _| {
+        seen.push((cell.group, cell.point))
+    });
+    let campaign = sweep.robust(0, 0);
 
     assert_eq!(campaign.iter().map(|r| r.errors.len()).sum::<usize>(), axis.n_points());
     for (group, robust) in campaign.iter().enumerate() {
@@ -266,12 +294,6 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
     let expected: Vec<(usize, usize)> =
         (0..axis.rates.len()).flat_map(|g| (0..axis.n_offsets).map(move |o| (g, o))).collect();
     assert_eq!(seen, expected, "profiled cells must stream rate-major, in order");
-
-    // And the batch entry point agrees with the streaming one.
-    let batch =
-        run_axis(&model, &[scheme], &ChipAxis::Profiled(axis), &test, EVAL_BATCH, Mode::Eval)
-            .remove(0);
-    assert_eq!(batch, campaign);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,10 +302,13 @@ fn profiled_axis_matches_serial_reference_and_iteration_order() {
 
 #[test]
 fn in_training_probes_parallel_matches_serial() {
-    let parallel = probed_training_report(false);
-    let serial = probed_training_report(true);
-    assert_eq!(parallel, serial, "the probe engine must not affect any reported number");
-    assert_eq!(parallel.epoch_rerr.len(), 2);
+    let (report, model, test) = probed_training_run();
+    assert_eq!(report.epoch_rerr.len(), 2);
+    assert_eq!(
+        report.epoch_rerr.last(),
+        Some(&serial_final_probe(&model, &test)),
+        "the parallel probe must equal the serial reference"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -387,8 +412,8 @@ fn worker_fingerprints() {
     println!("FP native_infer {hash:016x}");
 
     // (d) in-training probes.
-    let report = probed_training_report(false);
-    assert_eq!(report, probed_training_report(true));
+    let (report, probed_model, probe_test) = probed_training_run();
+    assert_eq!(report.epoch_rerr.last(), Some(&serial_final_probe(&probed_model, &probe_test)));
     println!("FP probed_training {}", fp_report(&report));
 
     // (e) data-parallel training: report + final weights, after asserting

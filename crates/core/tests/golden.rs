@@ -19,11 +19,12 @@
 
 use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
-    build, run_axis, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
-    RErrProbe, RandBetVariant, TrainConfig, TrainMethod, TrainReport, EVAL_BATCH,
+    build, run_sweep, train, ArchKind, Campaign, ChipAxis, DataParallel, NormKind, QuantizedModel,
+    RErrProbe, RandBetVariant, SweepAxis, SweepModel, SweepOptions, TrainConfig, TrainMethod,
+    TrainReport,
 };
 use bitrobust_data::{AugmentConfig, Dataset, SynthDataset};
-use bitrobust_nn::{Mode, Model};
+use bitrobust_nn::Model;
 use bitrobust_quant::QuantScheme;
 use rand::SeedableRng;
 
@@ -113,9 +114,10 @@ fn golden_grid_cell() -> (Model, Vec<f32>, f32, f32) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    let axis = ChipAxis::uniform(vec![0.01], 3, 1000);
-    let schemes = [QuantScheme::rquant(8)];
-    let cell = run_axis(&model, &schemes, &axis, &test, EVAL_BATCH, Mode::Eval).remove(0).remove(0);
+    let models = [SweepModel::new("golden", QuantScheme::rquant(8), &model)];
+    let axes = [SweepAxis::new("uniform", ChipAxis::uniform(vec![0.01], 3, 1000))];
+    let sweep = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {});
+    let cell = sweep.robust(0, 0).remove(0);
     (model, cell.errors.clone(), cell.mean_error, cell.std_error)
 }
 
@@ -213,7 +215,7 @@ fn golden_cell_is_campaign_path_invariant() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let model = build(ArchKind::Mlp, [1, 14, 14], 10, NormKind::Group, &mut rng).model;
     let (_, test) = SynthDataset::Mnist.generate(0);
-    // The exact images `run_axis` builds for the pinned cell: rquant(8)
+    // The exact images the sweep builds for the pinned cell: rquant(8)
     // at rate 1%, chips seeded `1000 + c`.
     let q0 = QuantizedModel::quantize(&model, QuantScheme::rquant(8));
     let images: Vec<QuantizedModel> = (0..3)

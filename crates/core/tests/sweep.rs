@@ -8,8 +8,8 @@ use std::path::PathBuf;
 
 use bitrobust_biterror::{ChipKind, ProfiledAxis};
 use bitrobust_core::{
-    run_axis, run_sweep, Campaign, ChipAxis, QuantizedModel, SweepAxis, SweepModel, SweepOptions,
-    SweepStore, EVAL_BATCH,
+    robust_eval_uniform, run_sweep, Campaign, ChipAxis, QuantizedModel, RobustEval, SweepAxis,
+    SweepModel, SweepOptions, SweepStore, EVAL_BATCH,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -31,14 +31,16 @@ fn temp_path(name: &str) -> PathBuf {
 fn multi_model_sweep_matches_per_model_grids_bit_for_bit() {
     let (a, b, test) = two_models();
     let scheme = QuantScheme::rquant(8);
-    let rates = vec![0.001, 0.01];
-    let axis = ChipAxis::uniform(rates, 3, 1000);
-    let axes = vec![SweepAxis::new("uniform", axis.clone())];
+    let rates = [0.001, 0.01];
+    let axes = vec![SweepAxis::new("uniform", ChipAxis::uniform(rates.to_vec(), 3, 1000))];
     let models = vec![SweepModel::new("mlp-a", scheme, &a), SweepModel::new("mlp-b", scheme, &b)];
     let results = run_sweep(&models, &axes, &test, &SweepOptions::default(), None, |_, _| {});
 
     for (mi, model) in [&a, &b].into_iter().enumerate() {
-        let alone = run_axis(model, &[scheme], &axis, &test, EVAL_BATCH, Mode::Eval).remove(0);
+        let alone: Vec<RobustEval> = rates
+            .iter()
+            .map(|&p| robust_eval_uniform(model, scheme, &test, p, 3, 1000, EVAL_BATCH, Mode::Eval))
+            .collect();
         assert_eq!(results.robust(mi, 0), alone, "model {mi} must match its standalone grid");
     }
 }
@@ -73,7 +75,7 @@ fn profiled_sweep_matches_manual_tab5_loop_bit_for_bit() {
 /// yields bit-identical means/stds/errors to aggregating the originals.
 #[test]
 fn robust_eval_round_trips_through_stored_cells() {
-    use bitrobust_core::{CellRecord, RobustEval};
+    use bitrobust_core::CellRecord;
     let (a, _, test) = two_models();
     let scheme = QuantScheme::rquant(8);
     let axis = ChipAxis::uniform(vec![0.02], 4, 1000);

@@ -8,9 +8,9 @@
 //! The paper's robustness techniques operate on weights; the datasets
 //! provide three difficulty levels against which clean error and robust
 //! error are traded off. [`SynthDataset`] generates class-prototype tasks
-//! reproducing that ordering (see `DESIGN.md` for the substitution
-//! rationale), [`Dataset`] holds the data, and [`augment_batch`] applies
-//! the crop/flip/cutout recipe used during training.
+//! reproducing that ordering without any dataset download, [`Dataset`]
+//! holds the data, and [`augment_batch`] applies the crop/flip/cutout
+//! recipe used during training.
 //!
 //! # Examples
 //!

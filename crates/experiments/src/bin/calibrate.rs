@@ -5,7 +5,6 @@
 use std::time::Instant;
 
 use bitrobust_core::{robust_eval_uniform, ArchKind, NormKind, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{dataset_pair, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
@@ -16,9 +15,7 @@ fn main() {
 
     for kind in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Cifar100] {
         let (train_ds, test_ds) = dataset_pair(kind, opts.seed);
-        let mut spec = ZooSpec::new(kind, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
-        spec.epochs = opts.epochs(kind.default_epochs());
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(kind, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
         let start = Instant::now();
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         let train_time = start.elapsed().as_secs_f64();
@@ -49,4 +46,5 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    bitrobust_experiments::finish_obs();
 }

@@ -7,11 +7,14 @@
 //!    falls below 1.75 ("introducing bit errors right from the start may
 //!    prevent the DNN from converging"); the no-warm-up ablation injects
 //!    from step one.
+//!
+//! The three models run as one durable sweep checkpointed to
+//! `target/sweeps/exp_ablations.jsonl` (`--fresh` recomputes).
 
-use bitrobust_core::{RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{RandBetVariant, SweepAxis, SweepModel, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
+    dataset_pair, durable_sweep, protocol_axis, rerr_row, sweep_models, warm_zoo, DatasetKind,
+    ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
@@ -21,54 +24,56 @@ fn main() {
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 1e-2];
     let p_train = 0.01;
+    let randbet = |variant| {
+        let method = TrainMethod::RandBet { wmax: Some(0.1), p: p_train, variant };
+        opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method)
+    };
+
+    let zoo_rows = [
+        ("RANDBET (Alg. 1)", RandBetVariant::Standard),
+        ("perturbed-only loss", RandBetVariant::PerturbedOnly),
+    ];
+    let specs: Vec<_> = zoo_rows.iter().map(|&(_, variant)| randbet(variant)).collect();
+    eprintln!("warming {} cifar10 zoo models...", specs.len());
+    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+
+    // The no-warm-up ablation: the zoo key does not encode the warm-up
+    // override, so train it here, bypassing the cache.
+    let spec = randbet(RandBetVariant::Standard);
+    let (model, report) = {
+        let mut cfg = bitrobust_core::TrainConfig::new(spec.scheme, spec.method);
+        cfg.epochs = spec.epochs;
+        cfg.warmup_loss = f32::INFINITY;
+        cfg.augment = spec.dataset.augment();
+        cfg.seed = spec.seed;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(spec.seed ^ 0xA2C4);
+        let built = bitrobust_core::build(
+            spec.arch,
+            spec.dataset.image_shape(),
+            spec.dataset.n_classes(),
+            spec.norm,
+            &mut rng,
+        );
+        let mut model = built.model;
+        let report = bitrobust_core::train(&mut model, &train_ds, &test_ds, &cfg);
+        (model, report)
+    };
+
+    let mut models = sweep_models(&specs, &warmed);
+    models.push(SweepModel::new(format!("{}-nowarmup", spec.key()), scheme, &model));
+    let axes = [SweepAxis::new("uniform", protocol_axis(&ps, opts.chips))];
+    let results = durable_sweep("exp_ablations", &opts, &models, &axes, &test_ds);
 
     let mut header = vec!["model".to_string(), "Err %".to_string(), "inject from".to_string()];
     header.extend(ps.iter().map(|p| format!("RErr p={:.1}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
-    let configs: Vec<(&str, RandBetVariant, bool)> = vec![
-        ("RANDBET (Alg. 1)", RandBetVariant::Standard, false),
-        ("perturbed-only loss", RandBetVariant::PerturbedOnly, false),
-        ("no warm-up", RandBetVariant::Standard, true),
-    ];
-
-    for (name, variant, no_warmup) in configs {
-        let mut spec = ZooSpec::new(
-            DatasetKind::Cifar10,
-            Some(scheme),
-            TrainMethod::RandBet { wmax: Some(0.1), p: p_train, variant },
-        );
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        // The zoo key does not encode the warm-up override, so bypass the
-        // cache for the ablated run.
-        let (model, report) = if no_warmup {
-            let mut cfg = bitrobust_core::TrainConfig::new(spec.scheme, spec.method);
-            cfg.epochs = spec.epochs;
-            cfg.warmup_loss = f32::INFINITY;
-            cfg.augment = spec.dataset.augment();
-            cfg.seed = spec.seed;
-            let mut rng =
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(spec.seed ^ 0xA2C4);
-            let built = bitrobust_core::build(
-                spec.arch,
-                spec.dataset.image_shape(),
-                spec.dataset.n_classes(),
-                spec.norm,
-                &mut rng,
-            );
-            let mut model = built.model;
-            let report = bitrobust_core::train(&mut model, &train_ds, &test_ds, &cfg);
-            (model, report)
-        } else {
-            zoo_model(&spec, &train_ds, &test_ds, opts.no_cache)
-        };
-        let sweep = rerr_sweep(&model, scheme, &test_ds, &ps, opts.chips);
+    let mut table = Table::new(&header);
+    let names = zoo_rows.iter().map(|&(name, _)| name).chain(["no warm-up"]);
+    let reports = warmed.iter().map(|(_, report)| report).chain([&report]);
+    for (mi, (name, report)) in names.zip(reports).enumerate() {
         let started =
             report.bit_errors_started_at.map_or("never".to_string(), |e| format!("epoch {e}"));
-        let mut row = vec![name.to_string(), pct(report.clean_error as f64), started];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
+        let mut row = rerr_row(name, report.clean_error, &results.robust(mi, 0));
+        row.insert(2, started);
         table.row_owned(row);
     }
     println!(
@@ -77,4 +82,5 @@ fn main() {
     );
     println!("Expected shape: dropping the clean loss term costs clean Err; skipping the");
     println!("warm-up slows or destabilizes convergence.");
+    bitrobust_experiments::finish_obs();
 }

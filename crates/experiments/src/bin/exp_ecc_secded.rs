@@ -12,7 +12,6 @@ use bitrobust_core::{
     apply_secded, evaluate, multi_error_probability, robust_eval_uniform, DoubleErrorPolicy,
     QuantizedModel, RandBetVariant, SecdedConfig, TrainMethod, EVAL_BATCH,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
@@ -39,24 +38,19 @@ fn main() {
     println!("(Paper: 13.5% at p = 1% for 64-bit words.)\n");
 
     // Empirical comparison.
-    let mut rq_spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
-    rq_spec.epochs = opts.epochs(rq_spec.epochs);
-    rq_spec.seed = opts.seed;
+    let rq_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
     let (mut rquant, _) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
 
-    let mut rb_spec = ZooSpec::new(
+    let rb_spec = opts.zoo_spec(
         DatasetKind::Cifar10,
         Some(scheme),
         TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard },
     );
-    rb_spec.epochs = opts.epochs(rb_spec.epochs);
-    rb_spec.seed = opts.seed;
     let (randbet, _) = zoo_model(&rb_spec, &train_ds, &test_ds, opts.no_cache);
 
     let mut header = vec!["configuration".to_string()];
     header.extend(ps.iter().map(|p| format!("RErr p={:.1}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
+    let mut table = Table::new(&header);
 
     // RQuant, no protection.
     let mut row = vec!["RQUANT, no ECC".to_string()];
@@ -106,6 +100,7 @@ fn main() {
     println!("Expected shape: SECDED rescues low rates but degrades as multi-error words");
     println!("dominate; RandBET needs no decoder, no parity storage, and no extra access");
     println!("energy, and keeps working at high rates.");
+    bitrobust_experiments::finish_obs();
 }
 
 fn secded_rerr(

@@ -5,22 +5,20 @@
 //! model, across the CIFAR bit error rate grid; the final table combines
 //! the best curve with the Fig. 1 energy model to state the paper's
 //! headline claims.
+//!
+//! The five models run as one durable sweep checkpointed to
+//! `target/sweeps/fig2.jsonl` (`--fresh` recomputes).
 
 use bitrobust_core::{best_saving_within, energy_tradeoff, RandBetVariant, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{
-    dataset_pair, p_grid_cifar, pct, pct_pm, progress_dots, rerr_sweep_streaming, zoo_model,
-    DatasetKind, ExpOptions, Table,
-};
+use bitrobust_experiments::{p_grid_cifar, rerr_row, zoo_sweep, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 use bitrobust_sram::{EnergyModel, VoltageErrorModel};
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let ps = p_grid_cifar();
 
-    let runs: Vec<(&str, QuantScheme, TrainMethod)> = vec![
+    let rows: Vec<(&str, QuantScheme, TrainMethod)> = vec![
         ("NORMAL 8bit", QuantScheme::normal(8), TrainMethod::Normal),
         ("RQUANT 8bit", QuantScheme::rquant(8), TrainMethod::Normal),
         ("+CLIPPING 0.1", QuantScheme::rquant(8), TrainMethod::Clipping { wmax: 0.1 }),
@@ -35,35 +33,23 @@ fn main() {
             TrainMethod::RandBet { wmax: Some(0.1), p: 0.01, variant: RandBetVariant::Standard },
         ),
     ];
+    let specs: Vec<_> = rows
+        .iter()
+        .map(|&(_, scheme, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method))
+        .collect();
+    let (reports, results) = zoo_sweep("fig2", &opts, &specs, &ps);
 
     let mut header = vec!["model".to_string(), "Err %".to_string()];
     header.extend(ps.iter().map(|p| format!("p={:.2}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
+    let mut table = Table::new(&header);
     let mut best_curve: Option<(f64, Vec<(f64, f64)>)> = None;
-    for (name, scheme, method) in runs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        // Stream the campaign: one dot per (rate, chip) cell as it lands.
-        eprint!("sweep {name}: ");
-        let sweep = rerr_sweep_streaming(
-            &model,
-            scheme,
-            &test_ds,
-            &ps,
-            opts.chips,
-            progress_dots(ps.len() * opts.chips),
-        );
-        let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
-        table.row_owned(row);
+    for (mi, &(name, scheme, _)) in rows.iter().enumerate() {
+        let sweep = results.robust(mi, 0);
+        table.row_owned(rerr_row(name, reports[mi].clean_error, &sweep));
         if name.contains("RANDBET") && scheme.bits() == 8 {
             let curve: Vec<(f64, f64)> =
                 ps.iter().zip(&sweep).map(|(&p, r)| (p, r.mean_error as f64)).collect();
-            best_curve = Some((report.clean_error as f64, curve));
+            best_curve = Some((reports[mi].clean_error as f64, curve));
         }
     }
     println!("Fig. 2 — RErr vs p (CIFAR10 stand-in):\n{}", table.render());
@@ -96,4 +82,5 @@ fn main() {
         }
         println!("\nPaper headline: <1% accuracy cost buys ~20% energy; ~2.5% cost buys ~30%.");
     }
+    bitrobust_experiments::finish_obs();
 }

@@ -9,7 +9,6 @@ use bitrobust_core::{
     evaluate, quantized_error_probed, redundancy_metrics, robust_eval_uniform, RandBetVariant,
     TrainMethod, EVAL_BATCH,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
@@ -44,9 +43,7 @@ fn main() {
         "ReLU relevance",
     ]);
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
 
         let robust = robust_eval_uniform(
@@ -99,4 +96,5 @@ fn main() {
     println!("Expected shape (paper): clipping keeps perturbed confidence close to clean,");
     println!("raises weight relevance (more weights doing work), and lowers the relative");
     println!("perturbation; RANDBET alone is less effective at preserving confidences.");
+    bitrobust_experiments::finish_obs();
 }

@@ -10,11 +10,10 @@
 //! `target/sweeps/fig7_<dataset>.jsonl` — interrupt and rerun to resume
 //! (`--fresh` recomputes).
 
-use bitrobust_core::{run_sweep, RandBetVariant, SweepAxis, SweepOptions, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{RandBetVariant, TrainMethod};
 use bitrobust_experiments::{
-    dataset_pair, open_sweep_store, p_grid_cifar, p_grid_cifar100, p_grid_mnist, pct, pct_pm,
-    protocol_axis, sweep_models, sweep_progress, warm_zoo, DatasetKind, ExpOptions, Table,
+    p_grid_cifar, p_grid_cifar100, p_grid_mnist, rerr_row, zoo_sweep, DatasetKind, ExpOptions,
+    Table,
 };
 use bitrobust_quant::QuantScheme;
 
@@ -26,10 +25,10 @@ fn main() {
     println!("Expected shape (paper): per dataset, NORMAL < RQUANT < +CLIPPING < +RANDBET in");
     println!("robustness; tolerable rates are far higher on MNIST than CIFAR100; low precision");
     println!("costs clean Err but RANDBET keeps RErr from exploding.");
+    bitrobust_experiments::finish_obs();
 }
 
 fn run_dataset(kind: DatasetKind, opts: &ExpOptions) {
-    let (_, test_ds) = dataset_pair(kind, opts.seed);
     let ps = match kind {
         DatasetKind::Cifar10 => p_grid_cifar(),
         DatasetKind::Cifar100 => p_grid_cifar100(),
@@ -82,46 +81,18 @@ fn run_dataset(kind: DatasetKind, opts: &ExpOptions) {
         }
     }
 
-    let mut header = vec!["model".to_string(), "Err %".to_string()];
-    header.extend(ps.iter().map(|p| format!("p={:.3}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
     // Warm the zoo for the whole method stack (parallel across models, or
     // sequential with full inner parallelism when the stack is small), then
     // evaluate every model's rate grid as one durable sweep campaign.
-    let specs: Vec<ZooSpec> = runs
-        .iter()
-        .map(|(_, scheme, method)| {
-            let mut spec = ZooSpec::new(kind, Some(*scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
-        .collect();
-    eprintln!("warming {} {} zoo models...", specs.len(), kind.name());
-    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+    let specs: Vec<_> =
+        runs.iter().map(|&(_, scheme, method)| opts.zoo_spec(kind, Some(scheme), method)).collect();
+    let (reports, results) = zoo_sweep(&format!("fig7_{}", kind.name()), opts, &specs, &ps);
 
-    let models = sweep_models(&specs, &warmed);
-    let axes = vec![SweepAxis::new("uniform", protocol_axis(&ps, opts.chips))];
-    let total = models.len() * axes[0].axis.n_points();
-    let mut store = open_sweep_store(&format!("fig7_{}", kind.name()), opts);
-    eprint!("sweep {} models x {} cells: ", models.len(), axes[0].axis.n_points());
-    let results = run_sweep(
-        &models,
-        &axes,
-        &test_ds,
-        &SweepOptions::default(),
-        Some(&mut store),
-        sweep_progress(total),
-    );
-
-    for (mi, ((name, _, _), (_, report))) in runs.into_iter().zip(&warmed).enumerate() {
-        let sweep = results.robust(mi, 0);
-        let mut row = vec![name, pct(report.clean_error as f64)];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
-        table.row_owned(row);
+    let mut header = vec!["model".to_string(), "Err %".to_string()];
+    header.extend(ps.iter().map(|p| format!("p={:.3}%", 100.0 * p)));
+    let mut table = Table::new(&header);
+    for (mi, (name, _, _)) in runs.into_iter().enumerate() {
+        table.row_owned(rerr_row(name, reports[mi].clean_error, &results.robust(mi, 0)));
     }
     println!("Fig. 7 — {}:\n{}", kind.name(), table.render());
-    bitrobust_experiments::finish_obs();
 }

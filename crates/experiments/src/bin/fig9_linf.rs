@@ -3,7 +3,6 @@
 
 use bitrobust_biterror::hash_unit;
 use bitrobust_core::{evaluate, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_nn::{Mode, Model};
 use bitrobust_quant::QuantScheme;
@@ -24,13 +23,10 @@ fn main() {
 
     let mut header = vec!["model".to_string()];
     header.extend(magnitudes.iter().map(|m| format!("L-inf {:.0}%", 100.0 * m)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
+    let mut table = Table::new(&header);
 
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         let (mut model, _) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         let mut row = vec![name.to_string()];
         for &mag in &magnitudes {
@@ -48,6 +44,7 @@ fn main() {
     );
     println!("Expected shape (paper): clipping improves robustness here too; note L-inf noise");
     println!("affects all weights, unlike sparse random bit errors.");
+    bitrobust_experiments::finish_obs();
 }
 
 /// Adds per-tensor uniform noise of magnitude `mag * max|w|`, evaluates,

@@ -6,16 +6,15 @@
 //! are what break.
 
 use bitrobust_core::{robust_eval_uniform, NormKind, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
+    dataset_pair, pct, pct_pm, warm_zoo, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
 use bitrobust_nn::Mode;
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
+    let (_, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 5e-3];
 
@@ -50,25 +49,18 @@ fn main() {
         ),
     ];
 
-    // BatchNorm models are not cacheable; train each (norm, method) pair
-    // once and reuse across eval modes.
-    let mut cache: Vec<((NormKind, String), bitrobust_nn::Model, f32)> = Vec::new();
-    for (name, norm, method, mode) in configs {
-        let method_key = format!("{method:?}");
-        let have = cache.iter().position(|((n, m), _, _)| *n == norm && *m == method_key);
-        let idx = match have {
-            Some(i) => i,
-            None => {
-                let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-                spec.norm = norm;
-                spec.epochs = opts.epochs(spec.epochs);
-                spec.seed = opts.seed;
-                let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-                cache.push(((norm, method_key), model, report.clean_error));
-                cache.len() - 1
-            }
-        };
-        let (_, model, clean_err) = &mut cache[idx];
+    // `warm_zoo` trains each (norm, method) spec once — the eval-mode rows
+    // share a model — and BatchNorm specs bypass the on-disk cache.
+    let specs: Vec<_> = configs
+        .iter()
+        .map(|&(_, norm, method, _)| {
+            let mut spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
+            spec.norm = norm;
+            spec
+        })
+        .collect();
+    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
+    for ((name, _, _, mode), (model, report)) in configs.into_iter().zip(&warmed) {
         let r: Vec<_> = ps
             .iter()
             .map(|&p| {
@@ -79,7 +71,7 @@ fn main() {
             .collect();
         table.row_owned(vec![
             name,
-            pct(*clean_err as f64),
+            pct(report.clean_error as f64),
             pct_pm(r[0].mean_error as f64, r[0].std_error as f64),
             pct_pm(r[1].mean_error as f64, r[1].std_error as f64),
         ]);
@@ -87,4 +79,5 @@ fn main() {
     println!("Tab. 10 (CIFAR10 stand-in, m = 8 bit):\n{}", table.render());
     println!("Expected shape (paper): BN with accumulated statistics degrades far more than GN");
     println!("under bit errors; using batch statistics at test time recovers most of it.");
+    bitrobust_experiments::finish_obs();
 }

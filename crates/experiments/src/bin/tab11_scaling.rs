@@ -13,7 +13,6 @@
 //! setup.
 
 use bitrobust_core::{robust_eval_uniform, TrainMethod, EVAL_BATCH};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
@@ -26,15 +25,11 @@ fn main() {
     let scheme = QuantScheme::rquant(8);
     let ps = [1e-3, 1e-2];
 
-    let mut rq_spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
-    rq_spec.epochs = opts.epochs(rq_spec.epochs);
-    rq_spec.seed = opts.seed;
+    let rq_spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), TrainMethod::Normal);
     let (mut rquant, rq_report) = zoo_model(&rq_spec, &train_ds, &test_ds, opts.no_cache);
 
-    let mut clip_spec =
-        ZooSpec::new(DatasetKind::Cifar10, Some(scheme), TrainMethod::Clipping { wmax: 0.25 });
-    clip_spec.epochs = opts.epochs(clip_spec.epochs);
-    clip_spec.seed = opts.seed;
+    let clip_spec =
+        opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), TrainMethod::Clipping { wmax: 0.25 });
     let (mut clipped, clip_report) = zoo_model(&clip_spec, &train_ds, &test_ds, opts.no_cache);
 
     // Scale factor: bring RQuant's largest conv/linear weight down to the
@@ -97,4 +92,5 @@ fn main() {
     println!("Tab. 11 (scale factor {factor:.3}):\n{}", table.render());
     println!("Expected shape (paper): the scaled model keeps clean Err but gains no robustness —");
     println!("clipping's benefit is redundancy from training, not a smaller quantization range.");
+    bitrobust_experiments::finish_obs();
 }

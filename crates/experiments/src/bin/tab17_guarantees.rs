@@ -9,7 +9,6 @@
 use bitrobust_core::{
     deviation_bound, robust_eval_uniform, RandBetVariant, TrainMethod, EVAL_BATCH,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct_pm, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
@@ -36,9 +35,7 @@ fn main() {
     let mut table =
         Table::new(&["model", &format!("RErr l={l_small}"), &format!("RErr l={l_large}")]);
     for (name, method) in methods {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         let (model, _) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         let small = robust_eval_uniform(
             &model,
@@ -84,4 +81,5 @@ fn main() {
     }
     println!("{}", table.render());
     println!("Paper: n=10^4, l=10^6 gives 4.1%; n=10^5 gives 1.7%. Empirical RErr is stable in l.");
+    bitrobust_experiments::finish_obs();
 }

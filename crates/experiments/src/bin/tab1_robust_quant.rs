@@ -5,64 +5,50 @@
 //! reports clean Err plus RErr across bit error rates. Also reproduces the
 //! 4-bit truncation-vs-rounding contrast (trained with clipping 0.1, as in
 //! the paper's footnote).
+//!
+//! All seven models run as **one** durable sweep checkpointed to
+//! `target/sweeps/tab1.jsonl` — interrupt and rerun to resume (`--fresh`
+//! recomputes).
 
 use bitrobust_core::TrainMethod;
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{
-    dataset_pair, pct, pct_pm, rerr_sweep, zoo_model, DatasetKind, ExpOptions, Table,
-};
+use bitrobust_experiments::{rerr_row, zoo_sweep, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (train_ds, test_ds) = dataset_pair(DatasetKind::Cifar10, opts.seed);
     let ps = [1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 1.5e-2];
+    let clip = TrainMethod::Clipping { wmax: 0.1 };
 
-    let schemes8: Vec<(&str, QuantScheme)> = vec![
-        ("Eq.(1), global", QuantScheme::eq1_global(8)),
-        ("Eq.(1), per-layer (NORMAL)", QuantScheme::normal(8)),
-        ("+asymmetric", QuantScheme::asymmetric_signed(8)),
-        ("+unsigned", QuantScheme::asymmetric_unsigned(8)),
-        ("+rounding (RQUANT)", QuantScheme::rquant(8)),
+    // The m = 8 lattice, then the 4-bit truncation-vs-rounding contrast.
+    let rows: Vec<(&str, QuantScheme, TrainMethod)> = vec![
+        ("Eq.(1), global", QuantScheme::eq1_global(8), TrainMethod::Normal),
+        ("Eq.(1), per-layer (NORMAL)", QuantScheme::normal(8), TrainMethod::Normal),
+        ("+asymmetric", QuantScheme::asymmetric_signed(8), TrainMethod::Normal),
+        ("+unsigned", QuantScheme::asymmetric_unsigned(8), TrainMethod::Normal),
+        ("+rounding (RQUANT)", QuantScheme::rquant(8), TrainMethod::Normal),
+        ("4 bit w/o rounding", QuantScheme::asymmetric_unsigned(4), clip),
+        ("4 bit w/ rounding", QuantScheme::rquant(4), clip),
     ];
+    let specs: Vec<_> = rows
+        .iter()
+        .map(|&(_, scheme, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method))
+        .collect();
+    let (reports, results) = zoo_sweep("tab1", &opts, &specs, &ps);
 
     let mut header = vec!["scheme (m=8)".to_string(), "Err %".to_string()];
     header.extend(ps.iter().map(|p| format!("RErr p={:.2}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
-    for (name, scheme) in &schemes8 {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), TrainMethod::Normal);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, *scheme, &test_ds, &ps, opts.chips);
-        let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
-        table.row_owned(row);
-    }
-    println!("Tab. 1 / Tab. 8 (m = 8 bit):\n{}", table.render());
-
-    // The 4-bit truncation-vs-rounding contrast.
-    let schemes4: Vec<(&str, QuantScheme)> = vec![
-        ("4 bit w/o rounding", QuantScheme::asymmetric_unsigned(4)),
-        ("4 bit w/ rounding", QuantScheme::rquant(4)),
-    ];
-    let mut table = Table::new(&header_refs);
-    for (name, scheme) in &schemes4 {
-        let mut spec =
-            ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), TrainMethod::Clipping { wmax: 0.1 });
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
-        let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
-        let sweep = rerr_sweep(&model, *scheme, &test_ds, &ps, opts.chips);
-        let mut row = vec![name.to_string(), pct(report.clean_error as f64)];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
-        table.row_owned(row);
-    }
-    println!("Tab. 1 (m = 4 bit, trained with CLIPPING 0.1):\n{}", table.render());
+    let render = |models: std::ops::Range<usize>| {
+        let mut table = Table::new(&header);
+        for mi in models {
+            table.row_owned(rerr_row(rows[mi].0, reports[mi].clean_error, &results.robust(mi, 0)));
+        }
+        table.render()
+    };
+    println!("Tab. 1 / Tab. 8 (m = 8 bit):\n{}", render(0..5));
+    println!("Tab. 1 (m = 4 bit, trained with CLIPPING 0.1):\n{}", render(5..rows.len()));
     println!(
         "Expected shape (paper): global catastrophic even at tiny p; per-layer fixes small p;"
     );
     println!("asymmetric+signed degrades at large p; unsigned + rounding (RQuant) is most robust.");
+    bitrobust_experiments::finish_obs();
 }

@@ -16,7 +16,6 @@ use bitrobust_biterror::UniformChip;
 use bitrobust_core::{
     robust_eval, robust_eval_uniform, PattPattern, RandBetVariant, TrainMethod, EVAL_BATCH,
 };
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{
     dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table, CHIP_SEED,
 };
@@ -65,9 +64,7 @@ fn main() {
         "random p=2.5%",
     ]);
     for (name, method) in configs {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method);
         let (model, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
 
         // Evaluation on the exact trained pattern: same chip seed. Lower
@@ -119,4 +116,5 @@ fn main() {
     );
     println!("Expected shape (paper): PATTBET is good on its trained pattern but degrades on the");
     println!("same pattern at lower rate and fails on random patterns; RANDBET handles all.");
+    bitrobust_experiments::finish_obs();
 }

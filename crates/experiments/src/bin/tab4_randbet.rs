@@ -10,17 +10,12 @@
 //! `target/sweeps/tab4.jsonl` — interrupt and rerun to resume
 //! (`--fresh` recomputes).
 
-use bitrobust_core::{run_sweep, RandBetVariant, SweepAxis, SweepOptions, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
-use bitrobust_experiments::{
-    open_sweep_store, pct, pct_pm, protocol_axis, sweep_models, sweep_progress, warm_zoo,
-    DatasetKind, ExpOptions, Table,
-};
+use bitrobust_core::{RandBetVariant, TrainMethod};
+use bitrobust_experiments::{rerr_row, zoo_sweep, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 
 fn main() {
     let opts = ExpOptions::from_args();
-    let (_, test_ds) = bitrobust_experiments::dataset_pair(DatasetKind::Cifar10, opts.seed);
     let ps = [5e-3, 1e-2, 1.5e-2];
 
     let runs: Vec<(&str, QuantScheme, TrainMethod)> = vec![
@@ -46,42 +41,17 @@ fn main() {
         ),
     ];
 
-    let specs: Vec<ZooSpec> = runs
+    let specs: Vec<_> = runs
         .iter()
-        .map(|(_, scheme, method)| {
-            let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(*scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
+        .map(|&(_, scheme, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method))
         .collect();
-    eprintln!("warming {} cifar10 zoo models...", specs.len());
-    let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
-
-    let models = sweep_models(&specs, &warmed);
-    let axes = vec![SweepAxis::new("uniform", protocol_axis(&ps, opts.chips))];
-    let total = models.len() * axes[0].axis.n_points();
-    let mut store = open_sweep_store("tab4", &opts);
-    eprint!("sweep {} models x {} cells: ", models.len(), axes[0].axis.n_points());
-    let results = run_sweep(
-        &models,
-        &axes,
-        &test_ds,
-        &SweepOptions::default(),
-        Some(&mut store),
-        sweep_progress(total),
-    );
+    let (reports, results) = zoo_sweep("tab4", &opts, &specs, &ps);
 
     let mut header = vec!["model".to_string(), "Err %".to_string()];
     header.extend(ps.iter().map(|p| format!("RErr p={:.1}%", 100.0 * p)));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(&header_refs);
-
+    let mut table = Table::new(&header);
     for (mi, (name, _, _)) in runs.iter().enumerate() {
-        let sweep = results.robust(mi, 0);
-        let mut row = vec![name.to_string(), pct(warmed[mi].1.clean_error as f64)];
-        row.extend(sweep.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
-        table.row_owned(row);
+        table.row_owned(rerr_row(*name, reports[mi].clean_error, &results.robust(mi, 0)));
     }
     println!("Tab. 4 / Tab. 12 (CIFAR10 stand-in):\n{}", table.render());
     println!("Expected shape (paper): RANDBET < CLIPPING < RQUANT in RErr at p >= 0.5%,");

@@ -11,10 +11,9 @@
 //! resume byte-identically (`--fresh` recomputes).
 
 use bitrobust_biterror::{ChipKind, ProfiledAxis};
-use bitrobust_core::{run_sweep, ChipAxis, RandBetVariant, SweepAxis, SweepOptions, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
+use bitrobust_core::{ChipAxis, RandBetVariant, SweepAxis, TrainMethod};
 use bitrobust_experiments::{
-    open_sweep_store, pct, sweep_models, sweep_progress, warm_zoo, DatasetKind, ExpOptions, Table,
+    durable_sweep, pct, sweep_models, warm_zoo, DatasetKind, ExpOptions, Table,
 };
 use bitrobust_quant::QuantScheme;
 
@@ -39,14 +38,9 @@ fn main() {
         ),
     ];
 
-    let specs: Vec<ZooSpec> = methods
+    let specs: Vec<_> = methods
         .iter()
-        .map(|(_, method)| {
-            let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(scheme), *method);
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
-            spec
-        })
+        .map(|&(_, method)| opts.zoo_spec(DatasetKind::Cifar10, Some(scheme), method))
         .collect();
     eprintln!("warming {} cifar10 zoo models...", specs.len());
     let warmed = warm_zoo(&specs, opts.seed, opts.no_cache);
@@ -63,23 +57,12 @@ fn main() {
             )
         })
         .collect();
-    let total = models.len() * axes.iter().map(|a| a.axis.n_points()).sum::<usize>();
-    let mut store = open_sweep_store("tab5_profiled", &opts);
-    eprint!("sweep {} models x 3 profiled chips ({total} cells): ", models.len());
-    let results = run_sweep(
-        &models,
-        &axes,
-        &test_ds,
-        &SweepOptions::default(),
-        Some(&mut store),
-        sweep_progress(total),
-    );
+    let results = durable_sweep("tab5_profiled", &opts, &models, &axes, &test_ds);
 
     for (ai, &(kind, rates)) in chip_rates.iter().enumerate() {
         let mut header = vec!["model".to_string(), "Err %".to_string()];
         header.extend(rates.iter().map(|r| format!("RErr p~{:.2}%", 100.0 * r)));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(&header_refs);
+        let mut table = Table::new(&header);
 
         for (mi, (name, _)) in methods.iter().enumerate() {
             let mut row = vec![name.to_string(), pct(warmed[mi].1.clean_error as f64)];

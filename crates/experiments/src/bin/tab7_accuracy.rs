@@ -5,7 +5,6 @@
 //! normalization comparison (SimpleNet vs ResNet, GroupNorm vs BatchNorm).
 
 use bitrobust_core::{ArchKind, NormKind, TrainMethod};
-use bitrobust_experiments::zoo::ZooSpec;
 use bitrobust_experiments::{dataset_pair, pct, zoo_model, DatasetKind, ExpOptions, Table};
 use bitrobust_quant::QuantScheme;
 
@@ -15,12 +14,7 @@ fn main() {
 
     // Precision sweep.
     let mut table = Table::new(&["precision m", "method", "Err %"]);
-    let float_spec = {
-        let mut s = ZooSpec::new(DatasetKind::Cifar10, None, TrainMethod::Normal);
-        s.epochs = opts.epochs(s.epochs);
-        s.seed = opts.seed;
-        s
-    };
+    let float_spec = opts.zoo_spec(DatasetKind::Cifar10, None, TrainMethod::Normal);
     let (_m, float_report) = zoo_model(&float_spec, &train_ds, &test_ds, opts.no_cache);
     table.row_owned(vec!["float".into(), "NORMAL".into(), pct(float_report.clean_error as f64)]);
     for (m, method, label) in [
@@ -29,9 +23,7 @@ fn main() {
         (3, TrainMethod::Clipping { wmax: 0.1 }, "CLIPPING 0.1"),
         (2, TrainMethod::Clipping { wmax: 0.1 }, "CLIPPING 0.1"),
     ] {
-        let mut spec = ZooSpec::new(DatasetKind::Cifar10, Some(QuantScheme::rquant(m)), method);
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
+        let spec = opts.zoo_spec(DatasetKind::Cifar10, Some(QuantScheme::rquant(m)), method);
         let (_, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
         table.row_owned(vec![format!("{m}"), label.into(), pct(report.clean_error as f64)]);
     }
@@ -43,15 +35,13 @@ fn main() {
         [(ArchKind::SimpleNet, "simplenet"), (ArchKind::ResNetMini, "resnet-mini")]
     {
         for (norm, norm_name) in [(NormKind::Group, "GN"), (NormKind::Batch, "BN")] {
-            let mut spec = ZooSpec::new(
+            let mut spec = opts.zoo_spec(
                 DatasetKind::Cifar10,
                 Some(QuantScheme::rquant(8)),
                 TrainMethod::Normal,
             );
             spec.arch = arch;
             spec.norm = norm;
-            spec.epochs = opts.epochs(spec.epochs);
-            spec.seed = opts.seed;
             let (_, report) = zoo_model(&spec, &train_ds, &test_ds, opts.no_cache);
             table.row_owned(vec![
                 arch_name.into(),
@@ -69,10 +59,8 @@ fn main() {
         [(ArchKind::SimpleNet, "simplenet"), (ArchKind::WideSimpleNet, "wide (WRN sub)")]
     {
         let mut spec =
-            ZooSpec::new(DatasetKind::Cifar100, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
+            opts.zoo_spec(DatasetKind::Cifar100, Some(QuantScheme::rquant(8)), TrainMethod::Normal);
         spec.arch = arch;
-        spec.epochs = opts.epochs(spec.epochs);
-        spec.seed = opts.seed;
         let (_, report) = zoo_model(&spec, &train100, &test100, opts.no_cache);
         table.row_owned(vec![name.into(), pct(report.clean_error as f64)]);
     }
@@ -80,4 +68,5 @@ fn main() {
     println!("Expected shape (paper): m=8/4 match float closely, m=3/2 lose 1-2%;");
     println!("BN beats GN slightly on clean Err (but loses badly on robustness, Tab. 10);");
     println!("the wider model wins on CIFAR100.");
+    bitrobust_experiments::finish_obs();
 }

@@ -1,11 +1,17 @@
 //! Minimal command-line options shared by all experiment binaries.
 
+use bitrobust_core::TrainMethod;
+use bitrobust_quant::QuantScheme;
+
+use crate::zoo::{DatasetKind, ZooSpec};
+
 /// Options parsed from the command line.
 ///
 /// Every experiment binary accepts:
 ///
 /// * `--quick` — fewer epochs and chips (smoke-test mode);
-/// * `--chips N` — number of random chips for RErr averaging;
+/// * `--chips N` — number of random chips for RErr averaging (at least
+///   1);
 /// * `--seed S` — base RNG seed;
 /// * `--no-cache` — ignore the model zoo cache and retrain.
 ///
@@ -48,17 +54,16 @@ impl Default for ExpOptions {
 impl ExpOptions {
     /// Parses `std::env::args`, ignoring unknown flags, and applies the
     /// `--obs` spec (if any) to the global observability config. A bad
-    /// spec aborts with a usage message rather than silently recording
-    /// nothing.
+    /// option value (`--chips 0`, an unknown obs spec) exits with status 2
+    /// and a usage message rather than failing deep inside a campaign or
+    /// silently recording nothing.
     pub fn from_args() -> Self {
-        let opts = Self::parse(&std::env::args().skip(1).collect::<Vec<String>>());
+        let opts = Self::parse(&std::env::args().skip(1).collect::<Vec<String>>())
+            .unwrap_or_else(|e| usage_error(&e));
         if let Some(spec) = &opts.obs {
             match bitrobust_obs::ObsConfig::parse(spec) {
                 Ok(cfg) => bitrobust_obs::init(&cfg.with_env_paths()),
-                Err(e) => {
-                    eprintln!("--obs: {e}");
-                    std::process::exit(2);
-                }
+                Err(e) => usage_error(&format!("--obs: {e}")),
             }
         }
         opts
@@ -66,7 +71,11 @@ impl ExpOptions {
 
     /// Parses an argument list (exposed separately so flag handling is
     /// unit-testable; later flags win).
-    pub fn parse(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the options ask for zero chips.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut i = 0;
         while i < args.len() {
@@ -100,7 +109,10 @@ impl ExpOptions {
             }
             i += 1;
         }
-        opts
+        if opts.chips == 0 {
+            return Err("--chips: RErr needs at least one chip".to_string());
+        }
+        Ok(opts)
     }
 
     /// Scales an epoch budget down in quick mode.
@@ -111,14 +123,43 @@ impl ExpOptions {
             full
         }
     }
+
+    /// The standard zoo spec for `kind`, with this run's epoch budget
+    /// ([`ExpOptions::epochs`]) and seed applied.
+    pub fn zoo_spec(
+        &self,
+        kind: DatasetKind,
+        scheme: Option<QuantScheme>,
+        method: TrainMethod,
+    ) -> ZooSpec {
+        let mut spec = ZooSpec::new(kind, scheme, method);
+        spec.epochs = self.epochs(spec.epochs);
+        spec.seed = self.seed;
+        spec
+    }
+}
+
+/// Prints `message` and the option summary to stderr, then exits with
+/// status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!(
+        "usage: [--quick] [--chips N (N >= 1)] [--seed S] [--no-cache] [--fresh | --resume] \
+         [--obs off|counters|trace|trace:<path>]"
+    );
+    std::process::exit(2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> ExpOptions {
+    fn try_parse(args: &[&str]) -> Result<ExpOptions, String> {
         ExpOptions::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn parse(args: &[&str]) -> ExpOptions {
+        try_parse(args).expect("valid options")
     }
 
     #[test]
@@ -161,6 +202,21 @@ mod tests {
         // from_args, keeping this function pure for tests.
         assert_eq!(parse(&["--obs", "not-a-level"]).obs.as_deref(), Some("not-a-level"));
         assert_eq!(parse(&["--obs"]).obs, None);
+    }
+
+    #[test]
+    fn zero_chips_is_rejected_at_parse_time() {
+        assert!(try_parse(&["--chips", "0"]).unwrap_err().contains("--chips"));
+        assert!(try_parse(&["--chips", "0", "--quick"]).is_err());
+        assert_eq!(parse(&["--chips", "1"]).chips, 1);
+    }
+
+    #[test]
+    fn zoo_spec_applies_epoch_budget_and_seed() {
+        let o = parse(&["--quick", "--seed", "7"]);
+        let spec = o.zoo_spec(DatasetKind::Cifar10, None, TrainMethod::Normal);
+        assert_eq!(spec.epochs, o.epochs(DatasetKind::Cifar10.default_epochs()));
+        assert_eq!(spec.seed, 7);
     }
 
     #[test]

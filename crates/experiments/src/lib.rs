@@ -1,7 +1,7 @@
 //! # bitrobust-experiments
 //!
 //! Shared infrastructure for the per-table / per-figure reproduction
-//! binaries (see `DESIGN.md` §5 for the experiment index): a disk-backed
+//! binaries (the README's experiment table indexes them): a disk-backed
 //! zoo of trained models, glue for the durable sweep orchestrator
 //! ([`sweeps`]), table formatting helpers, and the common command-line
 //! options.
@@ -31,10 +31,7 @@ pub fn finish_obs() {
         Err(e) => eprintln!("warning: failed to write obs output: {e}"),
     }
 }
-pub use protocol::{
-    p_grid_cifar, p_grid_cifar100, p_grid_mnist, progress_dots, protocol_axis, rerr_sweep,
-    rerr_sweep_streaming, CHIP_SEED,
-};
-pub use sweeps::{open_sweep_store, sweep_dir, sweep_models, sweep_progress};
-pub use table::{pct, pct_pm, Table};
+pub use protocol::{p_grid_cifar, p_grid_cifar100, p_grid_mnist, protocol_axis, CHIP_SEED};
+pub use sweeps::{durable_sweep, sweep_dir, sweep_models, zoo_sweep};
+pub use table::{pct, pct_pm, rerr_row, Table};
 pub use zoo::{dataset_pair, warm_zoo, zoo_model, DatasetKind, ZooSpec};

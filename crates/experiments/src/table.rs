@@ -1,5 +1,7 @@
 //! Plain-text table formatting in the style of the paper's tables.
 
+use bitrobust_core::RobustEval;
+
 /// A simple aligned text table.
 ///
 /// # Examples
@@ -20,8 +22,8 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Self { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
+    pub fn new<S: AsRef<str>>(header: &[S]) -> Self {
+        Self { header: header.iter().map(|s| s.as_ref().to_string()).collect(), rows: Vec::new() }
     }
 
     /// Appends a row.
@@ -82,6 +84,18 @@ pub fn pct(x: f64) -> String {
 /// Formats `mean ± std` percentages (`32.05±6.00`).
 pub fn pct_pm(mean: f64, std: f64) -> String {
     format!("{:.2}±{:.2}", 100.0 * mean, 100.0 * std)
+}
+
+/// One row of an RErr table: the label, the clean `Err %`, then
+/// `RErr ± std` per rate.
+pub fn rerr_row(
+    label: impl Into<String>,
+    clean_error: f32,
+    per_rate: &[RobustEval],
+) -> Vec<String> {
+    let mut row = vec![label.into(), pct(clean_error as f64)];
+    row.extend(per_rate.iter().map(|r| pct_pm(r.mean_error as f64, r.std_error as f64)));
+    row
 }
 
 #[cfg(test)]
