@@ -1,9 +1,9 @@
-//! Human and JSON rendering of an analysis run.
-//!
-//! The JSON writer is hand-rolled like the sweep store's (the vendored
-//! `serde` is an offline marker stub): a single stable-shaped document,
-//! with full string escaping since finding messages quote arbitrary
-//! source text.
+//! Human and JSON rendering of an analysis run. The JSON document goes
+//! through the workspace's one writer, `bitrobust_obs::json`, whose
+//! string escaping covers the arbitrary source text finding messages
+//! quote.
+
+use bitrobust_obs::json::JsonWriter;
 
 use crate::baseline::{BaselineEntry, BaselineError};
 use crate::rules::Finding;
@@ -71,47 +71,33 @@ impl Report {
 
     /// The machine-readable document uploaded as the CI artifact.
     pub fn render_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"version\": 1,\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"violations\": {},\n", self.violations()));
-        s.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("version").uint(1);
+        w.key("files_scanned").uint(self.files_scanned as u64);
+        w.key("violations").uint(self.violations() as u64);
+        w.key("suppressed").uint(self.suppressed as u64);
 
-        s.push_str("  \"findings\": [");
+        w.key("findings").begin_array();
         let all =
             self.fresh.iter().map(|f| (f, false)).chain(self.baselined.iter().map(|f| (f, true)));
-        let mut first = true;
         for (f, baselined) in all {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"baselined\": {}, \
-                 \"message\": {}, \"snippet\": {}}}",
-                json_str(f.rule),
-                json_str(&f.path),
-                f.line,
-                baselined,
-                json_str(&f.message),
-                json_str(&f.snippet),
-            ));
+            w.begin_object();
+            w.key("rule").str(f.rule).key("path").str(&f.path).key("line").uint(f.line as u64);
+            w.key("baselined").bool(baselined);
+            w.key("message").str(&f.message).key("snippet").str(&f.snippet);
+            w.end();
         }
-        s.push_str(if first { "],\n" } else { "\n  ],\n" });
+        w.end();
 
-        s.push_str("  \"stale_baseline\": [");
-        for (i, e) in self.stale.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"file_line\": {}}}",
-                json_str(&e.rule),
-                json_str(&e.path),
-                e.file_line
-            ));
+        w.key("stale_baseline").begin_array();
+        for e in &self.stale {
+            w.begin_object();
+            w.key("rule").str(&e.rule).key("path").str(&e.path);
+            w.key("file_line").uint(e.file_line as u64);
+            w.end();
         }
-        s.push_str(if self.stale.is_empty() { "],\n" } else { "\n  ],\n" });
+        w.end();
 
         // Per-rule counts over all findings (fresh + baselined), so the
         // artifact graphs rule activity even when CI is green.
@@ -119,35 +105,14 @@ impl Report {
         for f in self.fresh.iter().chain(&self.baselined) {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
-        s.push_str("  \"counts\": {");
-        for (i, (rule, n)) in counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_str(rule), n));
+        w.key("counts").begin_object();
+        for (rule, n) in counts {
+            w.key(rule).uint(n as u64);
         }
-        s.push_str("}\n}\n");
-        s
+        w.end();
+        w.end();
+        w.finish()
     }
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

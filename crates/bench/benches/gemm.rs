@@ -9,18 +9,17 @@
 //!   stack on 16×16 inputs (`matmul`): early layers are wide-and-shallow
 //!   (large `oh*ow`, small K), late layers deep-and-narrow.
 //!
-//! Besides the criterion benchmarks, running this bench writes
-//! `BENCH_gemm.json` at the workspace root with naive vs packed GFLOP/s per
-//! shape. CI uploads it and fails the build if the packed kernel loses its
-//! edge (graded floors, relaxed on 1-thread runners like the other gates).
+//! Running this bench writes `BENCH_gemm.json` at the workspace root with
+//! naive vs packed GFLOP/s (f32) and GIOP/s (i8) per shape. CI uploads it
+//! and fails the build if the packed kernel loses its edge (graded floors,
+//! relaxed on 1-thread runners like the other gates).
 
-use std::time::Instant;
-
+use bitrobust_bench::{best_of_alternating, write_bench_json};
+use bitrobust_obs::json::JsonWriter;
 use bitrobust_tensor::{
     gemm_i8, matmul, matmul_nt, matmul_nt_reference, matmul_reference, transpose, GemmOperandI8,
     Tensor,
 };
-use criterion::{criterion_group, Criterion};
 use rand::{Rng, SeedableRng};
 
 /// Which kernel pair a shape exercises.
@@ -112,46 +111,6 @@ fn run_naive_i8(s: &Shape, a: &[i8], b: &[i8], c: &mut [i32]) {
     }
 }
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(20);
-    for s in SHAPES {
-        let (a, b) = operands(s);
-        group.bench_function(format!("packed_{}", s.name), |bch| {
-            bch.iter(|| run_packed(s, std::hint::black_box(&a), std::hint::black_box(&b)))
-        });
-        group.bench_function(format!("naive_{}", s.name), |bch| {
-            bch.iter(|| run_naive(s, std::hint::black_box(&a), std::hint::black_box(&b)))
-        });
-        let (ai, bi) = operands_i8(s);
-        let mut c = vec![0i32; s.m * s.n];
-        group.bench_function(format!("i8_packed_{}", s.name), |bch| {
-            bch.iter(|| {
-                c.fill(0);
-                run_packed_i8(s, std::hint::black_box(&ai), std::hint::black_box(&bi), &mut c);
-                std::hint::black_box(c[0])
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm);
-
-/// Best-of-`reps` wall-clock seconds for `f`, with enough inner iterations
-/// to dodge timer granularity on these sub-millisecond kernels.
-fn best_of<F: FnMut()>(mut f: F, iters: usize, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
 /// What the *disabled* obs instrumentation costs relative to the packed
 /// kernel: times a burst of off-level `span!` + `counter_add` calls
 /// (each a relaxed atomic load and a branch) and scales by the number of
@@ -159,26 +118,70 @@ fn best_of<F: FnMut()>(mut f: F, iters: usize, reps: usize) -> f64 {
 /// one `pack_b` span per `(jc, pc)` cache block. CI gates this below 1%.
 fn obs_off_overhead_pct(packed_secs: f64, s: &Shape) -> f64 {
     bitrobust_obs::init(&bitrobust_obs::ObsConfig::off());
-    const OPS: usize = 1_000_000;
-    let start = Instant::now();
-    for _ in 0..OPS {
-        let g = bitrobust_obs::span("bench.obs_off_probe");
-        std::hint::black_box(&g);
-        bitrobust_obs::counter_add("bench.obs_off_probe", std::hint::black_box(1));
-    }
-    let per_call_site = start.elapsed().as_secs_f64() / OPS as f64;
+    let [per_call_site] = best_of_alternating(
+        1,
+        1_000_000,
+        [&mut || {
+            let g = bitrobust_obs::span("bench.obs_off_probe");
+            std::hint::black_box(&g);
+            bitrobust_obs::counter_add("bench.obs_off_probe", std::hint::black_box(1));
+        }],
+    );
     let pack_spans =
         s.k.div_ceil(bitrobust_tensor::gemm::KC) * s.n.div_ceil(bitrobust_tensor::gemm::NC);
     per_call_site * (1 + pack_spans) as f64 / packed_secs * 100.0
 }
 
-fn emit_json_comparison() {
-    let threads = bitrobust_tensor::pool_parallelism();
-    let mut rows = Vec::new();
-    let mut fc_speedup = f64::NAN;
-    let mut fc_packed_secs = f64::NAN;
-    let mut conv_min_speedup = f64::INFINITY;
+/// Time naive against packed on `s` (sides alternating rep by rep),
+/// append the row to the open `shapes` / `i8_shapes` array, and return
+/// `(speedup, packed_secs)`. `unit` is `flops` (f32) or `iops`
+/// (i8); the row reports giga-`unit` per second.
+fn time_row(
+    w: &mut JsonWriter,
+    s: &Shape,
+    name: &str,
+    unit: &str,
+    naive: &mut dyn FnMut(),
+    packed: &mut dyn FnMut(),
+) -> (f64, f64) {
+    let ops = 2.0 * s.m as f64 * s.k as f64 * s.n as f64;
+    // Enough inner iterations to dodge timer granularity.
+    let iters = (2e7 / ops).clamp(1.0, 500.0) as usize;
+    let [naive_secs, packed_secs] = best_of_alternating(5, iters, [naive, packed]);
+    let (naive_rate, packed_rate) = (ops / naive_secs / 1e9, ops / packed_secs / 1e9);
+    let speedup = naive_secs / packed_secs;
+    w.begin_object();
+    w.key("name").str(name);
+    w.key("variant").str(if s.variant == Variant::Nn { "nn" } else { "nt" });
+    w.key("m").uint(s.m as u64).key("k").uint(s.k as u64).key("n").uint(s.n as u64);
+    w.key("naive_secs").fixed(naive_secs, 9).key("packed_secs").fixed(packed_secs, 9);
+    w.key(&format!("naive_g{unit}")).fixed(naive_rate, 3);
+    w.key(&format!("packed_g{unit}")).fixed(packed_rate, 3);
+    w.key("speedup").fixed(speedup, 3);
+    w.end();
+    (speedup, packed_secs)
+}
 
+fn main() {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("bench").str("gemm");
+    w.key("threads").uint(bitrobust_tensor::pool_parallelism() as u64);
+    w.key("tile").begin_object();
+    for (k, v) in [
+        ("mr", bitrobust_tensor::gemm::MR),
+        ("nr", bitrobust_tensor::gemm::NR),
+        ("mc", bitrobust_tensor::gemm::MC),
+        ("kc", bitrobust_tensor::gemm::KC),
+        ("nc", bitrobust_tensor::gemm::NC),
+    ] {
+        w.key(k).uint(v as u64);
+    }
+    w.end();
+
+    let (mut fc_speedup, mut fc_packed_secs) = (f64::NAN, f64::NAN);
+    let mut conv_min_speedup = f64::INFINITY;
+    w.key("shapes").begin_array();
     for s in SHAPES {
         let (a, b) = operands(s);
 
@@ -203,47 +206,23 @@ fn emit_json_comparison() {
             }
         }
 
-        let flops = 2.0 * s.m as f64 * s.k as f64 * s.n as f64;
-        let iters = (2e7 / flops).clamp(1.0, 500.0) as usize;
-        let naive_secs = best_of(|| drop(run_naive(s, &a, &b)), iters, 5);
-        let packed_secs = best_of(|| drop(run_packed(s, &a, &b)), iters, 5);
-        let (naive_gflops, packed_gflops) = (flops / naive_secs / 1e9, flops / packed_secs / 1e9);
-        let speedup = naive_secs / packed_secs;
+        let (speedup, packed_secs) =
+            time_row(&mut w, s, s.name, "flops", &mut || drop(run_naive(s, &a, &b)), &mut || {
+                drop(run_packed(s, &a, &b))
+            });
         if s.name == "fc_head" {
-            fc_speedup = speedup;
-            fc_packed_secs = packed_secs;
+            (fc_speedup, fc_packed_secs) = (speedup, packed_secs);
         } else {
             conv_min_speedup = conv_min_speedup.min(speedup);
         }
-        println!(
-            "{:>11} [{:>3}x{:>3}x{:>3}] naive {:6.2} GFLOP/s  packed {:6.2} GFLOP/s  ({:.2}x)",
-            s.name, s.m, s.k, s.n, naive_gflops, packed_gflops, speedup
-        );
-        rows.push(format!(
-            "    {{\"name\": \"{}\", \"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_secs\": {:.9}, \"packed_secs\": {:.9}, \"naive_gflops\": {:.3}, \
-             \"packed_gflops\": {:.3}, \"speedup\": {:.3}}}",
-            s.name,
-            match s.variant {
-                Variant::Nn => "nn",
-                Variant::Nt => "nt",
-            },
-            s.m,
-            s.k,
-            s.n,
-            naive_secs,
-            packed_secs,
-            naive_gflops,
-            packed_gflops,
-            speedup
-        ));
     }
+    w.end();
 
     // The integer kernel behind `QuantizedModel::infer`: same shapes, i8
     // operands, i32 accumulation. Integer adds are exact, so packed must
     // *equal* the naive triple loop — no tolerance.
-    let mut i8_rows = Vec::new();
     let mut i8_min_speedup = f64::INFINITY;
+    w.key("i8_shapes").begin_array();
     for s in SHAPES {
         let (a, b) = operands_i8(s);
         let mut packed = vec![0i32; s.m * s.n];
@@ -255,87 +234,33 @@ fn emit_json_comparison() {
         run_packed_i8(s, &a, &b, &mut again);
         assert_eq!(packed, again, "i8 kernel must be bit-stable across calls ({})", s.name);
 
-        let ops = 2.0 * s.m as f64 * s.k as f64 * s.n as f64;
-        let iters = (2e7 / ops).clamp(1.0, 500.0) as usize;
-        let naive_secs = best_of(
-            || {
+        let (speedup, _) = time_row(
+            &mut w,
+            s,
+            &format!("i8_{}", s.name),
+            "iops",
+            &mut || {
                 naive.fill(0);
                 run_naive_i8(s, &a, &b, &mut naive);
             },
-            iters,
-            5,
-        );
-        let packed_secs = best_of(
-            || {
+            &mut || {
                 packed.fill(0);
                 run_packed_i8(s, &a, &b, &mut packed);
             },
-            iters,
-            5,
         );
-        let (naive_giops, packed_giops) = (ops / naive_secs / 1e9, ops / packed_secs / 1e9);
-        let speedup = naive_secs / packed_secs;
         i8_min_speedup = i8_min_speedup.min(speedup);
-        println!(
-            "{:>14} [{:>3}x{:>3}x{:>3}] naive {:6.2} GIOP/s  packed {:6.2} GIOP/s  ({:.2}x)",
-            format!("i8_{}", s.name),
-            s.m,
-            s.k,
-            s.n,
-            naive_giops,
-            packed_giops,
-            speedup
-        );
-        i8_rows.push(format!(
-            "    {{\"name\": \"i8_{}\", \"variant\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"naive_secs\": {:.9}, \"packed_secs\": {:.9}, \"naive_giops\": {:.3}, \
-             \"packed_giops\": {:.3}, \"speedup\": {:.3}}}",
-            s.name,
-            match s.variant {
-                Variant::Nn => "nn",
-                Variant::Nt => "nt",
-            },
-            s.m,
-            s.k,
-            s.n,
-            naive_secs,
-            packed_secs,
-            naive_giops,
-            packed_giops,
-            speedup
-        ));
     }
+    w.end();
 
     let fc_shape = SHAPES.iter().find(|s| s.name == "fc_head").expect("fc_head shape");
     let obs_overhead = obs_off_overhead_pct(fc_packed_secs, fc_shape);
-    println!("obs-off overhead on fc_head packed kernel: {obs_overhead:.4}%");
 
-    let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"threads\": {},\n  \"tile\": {{\"mr\": {}, \"nr\": {}, \
-         \"mc\": {}, \"kc\": {}, \"nc\": {}}},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"i8_shapes\": [\n{}\n  ],\n  \
-         \"fc_speedup\": {:.3},\n  \"conv_min_speedup\": {:.3},\n  \
-         \"i8_min_speedup\": {:.3},\n  \"obs_off_overhead_pct\": {:.4},\n  \
-         \"packed_matches_reference\": true,\n  \"i8_matches_reference\": true\n}}\n",
-        threads,
-        bitrobust_tensor::gemm::MR,
-        bitrobust_tensor::gemm::NR,
-        bitrobust_tensor::gemm::MC,
-        bitrobust_tensor::gemm::KC,
-        bitrobust_tensor::gemm::NC,
-        rows.join(",\n"),
-        i8_rows.join(",\n"),
-        fc_speedup,
-        conv_min_speedup,
-        i8_min_speedup,
-        obs_overhead,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    std::fs::write(path, &json).expect("write BENCH_gemm.json");
-    println!("naive vs packed comparison written to {path}:\n{json}");
-}
-
-fn main() {
-    benches();
-    emit_json_comparison();
+    w.key("fc_speedup").fixed(fc_speedup, 3);
+    w.key("conv_min_speedup").fixed(conv_min_speedup, 3);
+    w.key("i8_min_speedup").fixed(i8_min_speedup, 3);
+    w.key("obs_off_overhead_pct").fixed(obs_overhead, 4);
+    w.key("packed_matches_reference").bool(true);
+    w.key("i8_matches_reference").bool(true);
+    w.end();
+    write_bench_json("gemm", w);
 }

@@ -15,8 +15,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bitrobust_bench::write_bench_json;
 use bitrobust_core::{build, ArchKind, NormKind};
 use bitrobust_data::SynthDataset;
+use bitrobust_obs::json::JsonWriter;
 use bitrobust_serve::{
     reference_response, InferenceService, ModelRegistry, ServeConfig, SubmitError, Ticket,
 };
@@ -152,29 +154,22 @@ fn main() {
 
     let requests = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
     let rps = stats.completed as f64 / elapsed;
-    let threads = bitrobust_tensor::pool_parallelism();
-    let json = format!(
-        "{{\n  \"bench\": \"serve_load\",\n  \"arch\": \"mlp\",\n  \"clients\": {},\n  \
-         \"requests\": {},\n  \"completed\": {},\n  \"shed\": {},\n  \"queue_capacity\": {},\n  \
-         \"max_batch\": {},\n  \"max_delay_ms\": {:.3},\n  \"threads\": {},\n  \
-         \"elapsed_secs\": {:.6},\n  \"requests_per_sec\": {:.1},\n  \"p50_ms\": {:.3},\n  \
-         \"p99_ms\": {:.3},\n  \"bit_identical\": true\n}}\n",
-        CLIENTS,
-        requests,
-        stats.completed,
-        stats.shed,
-        CONFIG.queue_capacity,
-        CONFIG.max_batch,
-        CONFIG.max_delay.as_secs_f64() * 1e3,
-        threads,
-        elapsed,
-        rps,
-        percentile_ms(&latencies, 50.0),
-        percentile_ms(&latencies, 99.0),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("serve load comparison written to {path}:\n{json}");
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("bench").str("serve_load").key("arch").str("mlp");
+    w.key("clients").uint(CLIENTS as u64).key("requests").uint(requests);
+    w.key("completed").uint(stats.completed).key("shed").uint(stats.shed);
+    w.key("queue_capacity").uint(CONFIG.queue_capacity as u64);
+    w.key("max_batch").uint(CONFIG.max_batch as u64);
+    w.key("max_delay_ms").fixed(CONFIG.max_delay.as_secs_f64() * 1e3, 3);
+    w.key("threads").uint(bitrobust_tensor::pool_parallelism() as u64);
+    w.key("elapsed_secs").fixed(elapsed, 6);
+    w.key("requests_per_sec").fixed(rps, 1);
+    w.key("p50_ms").fixed(percentile_ms(&latencies, 50.0), 3);
+    w.key("p99_ms").fixed(percentile_ms(&latencies, 99.0), 3);
+    w.key("bit_identical").bool(true);
+    w.end();
+    write_bench_json("serve", w);
     for written in bitrobust_obs::finish().expect("write obs output") {
         println!("obs output written to {}", written.display());
     }

@@ -47,18 +47,19 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod snapshot;
 mod trace;
 
 pub use hist::{bucket_bounds, bucket_index, Hist, BUCKETS};
 pub use snapshot::{Gauge, Snapshot};
-pub use trace::{render_chrome_trace, write_chrome_trace, TraceEvent};
+pub use trace::{render_chrome_trace, TraceEvent};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -286,10 +287,36 @@ pub fn record(name: &'static str, value: u64) {
     with_local(|l| l.hists.entry(name).or_default().record(value));
 }
 
-/// Cap on buffered Chrome trace events; past it, spans still feed their
-/// histograms but drop the event and bump `obs.trace.dropped`.
-const TRACE_CAP: usize = 1 << 20;
-static TRACE_TOTAL: AtomicUsize = AtomicUsize::new(0);
+/// Most Chrome trace events buffered per process (40 bytes each). Past
+/// the cap a span still feeds its histogram, drops its event and bumps
+/// `obs.trace.dropped`.
+pub const TRACE_CAP: usize = 1 << 20;
+
+/// The last `TRACE_RESERVE` slots of [`TRACE_CAP`] take only events of
+/// span names with fewer than [`TRACE_NAME_CAP`] so far (room for 64
+/// names). Inner spans (one `gemm.f32` per kernel call) close millions
+/// of times before the outer span around them closes once; the reserve
+/// keeps the outer spans once the inner ones have filled the rest.
+pub const TRACE_RESERVE: usize = TRACE_CAP / 4;
+
+/// A span name's allowance in the [`TRACE_RESERVE`] slots.
+pub const TRACE_NAME_CAP: usize = TRACE_RESERVE / 64;
+
+/// Claim a trace event slot for `name`; false when the trace is full
+/// for it.
+fn admit_trace_event(name: &'static str) -> bool {
+    type Budget = (usize, BTreeMap<&'static str, usize>);
+    static BUDGET: OnceLock<Mutex<Budget>> = OnceLock::new();
+    let mut guard = lock(BUDGET.get_or_init(Mutex::default));
+    let (total, per_name) = &mut *guard;
+    let used = per_name.entry(name).or_insert(0);
+    if *total >= TRACE_CAP || (*total >= TRACE_CAP - TRACE_RESERVE && *used >= TRACE_NAME_CAP) {
+        return false;
+    }
+    *used += 1;
+    *total += 1;
+    true
+}
 
 /// RAII span guard: measures from construction to drop. Create via
 /// [`span()`] or the [`span!`] macro.
@@ -325,14 +352,13 @@ impl Drop for SpanGuard {
         let ts_ns = start.saturating_duration_since(origin()).as_nanos() as u64;
         let dur_ns = dur.as_nanos() as u64;
         let name = self.name;
+        let keep_event = trace && admit_trace_event(name);
         with_local(|l| {
             l.hists.entry(name).or_default().record(dur_ns);
-            if trace {
-                if TRACE_TOTAL.fetch_add(1, Ordering::Relaxed) < TRACE_CAP {
-                    l.events.push(TraceEvent { name, ts_ns, dur_ns, tid: l.tid });
-                } else {
-                    *l.counters.entry("obs.trace.dropped").or_insert(0) += 1;
-                }
+            if keep_event {
+                l.events.push(TraceEvent { name, ts_ns, dur_ns, tid: l.tid });
+            } else if trace {
+                *l.counters.entry("obs.trace.dropped").or_insert(0) += 1;
             }
         });
     }
@@ -396,14 +422,10 @@ pub fn finish() -> io::Result<Vec<PathBuf>> {
     written.push(report);
     if cfg.level == ObsLevel::Trace {
         let path = cfg.trace_path.unwrap_or_else(|| PathBuf::from("OBS_trace.json"));
-        write_trace_file(&path)?;
+        std::fs::write(&path, render_chrome_trace(&take_trace()))?;
         written.push(path);
     }
     Ok(written)
-}
-
-fn write_trace_file(path: &Path) -> io::Result<()> {
-    write_chrome_trace(path, &take_trace())
 }
 
 #[cfg(test)]
@@ -418,7 +440,7 @@ mod tests {
         assert_eq!(ObsConfig::parse("trace").unwrap().level, ObsLevel::Trace);
         let cfg = ObsConfig::parse("trace:/tmp/t.json").unwrap();
         assert_eq!(cfg.level, ObsLevel::Trace);
-        assert_eq!(cfg.trace_path.as_deref(), Some(Path::new("/tmp/t.json")));
+        assert_eq!(cfg.trace_path.as_deref(), Some(std::path::Path::new("/tmp/t.json")));
         assert!(ObsConfig::parse("verbose").is_err());
         assert!(ObsConfig::parse("trace:").is_err());
     }

@@ -1,10 +1,11 @@
 //! Aggregated metrics and the `OBS_report.json` writer.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 use crate::hist::Hist;
+use crate::json::JsonWriter;
 
 /// A gauge sample: the last value written, stamped with a process-wide
 /// sequence number so "last" is well defined across threads.
@@ -66,58 +67,44 @@ impl Snapshot {
         self.hists.get(name)
     }
 
-    /// Render the report document. Hand-rolled JSON in the same style as
-    /// `bitrobust-analyze` (the vendored `serde` is a marker stub); all
-    /// maps are `BTreeMap`s so the output is canonically ordered.
+    /// Render the report document. All maps are `BTreeMap`s, so the
+    /// output is canonically ordered.
     pub fn render_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"version\": 1,\n");
-
-        s.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{name}\": {v}"));
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("version").uint(1);
+        w.key("counters").begin_object();
+        for (name, v) in &self.counters {
+            w.key(name).uint(*v);
         }
-        s.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-
-        s.push_str("  \"gauges\": {");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{name}\": {}", g.value));
+        w.end();
+        w.key("gauges").begin_object();
+        for (name, g) in &self.gauges {
+            w.key(name).uint(g.value);
         }
-        s.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
-
-        s.push_str("  \"hists\": {");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        w.end();
+        w.key("hists").begin_object();
+        for (name, h) in &self.hists {
+            w.key(name).begin_object();
+            w.key("count").uint(h.count);
+            w.key("sum").uint(h.sum);
+            w.key("min").uint(if h.count == 0 { 0 } else { h.min });
+            w.key("max").uint(h.max);
+            w.key("buckets").begin_array();
+            for (b, c) in h.nonzero_buckets() {
+                w.begin_array().uint(b as u64).uint(c).end();
             }
-            let buckets: Vec<String> =
-                h.nonzero_buckets().iter().map(|(b, c)| format!("[{b}, {c}]")).collect();
-            s.push_str(&format!(
-                "\n    \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"buckets\": [{}]}}",
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-                buckets.join(", "),
-            ));
+            w.end();
+            w.end();
         }
-        s.push_str(if self.hists.is_empty() { "}\n" } else { "\n  }\n" });
-
-        s.push_str("}\n");
-        s
+        w.end();
+        w.end();
+        w.finish()
     }
 
     /// Write the report to `path` (the CI artifact `OBS_report.json`).
     pub fn write_report(&self, path: &Path) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.render_json().as_bytes())
+        std::fs::write(path, self.render_json())
     }
 }
 

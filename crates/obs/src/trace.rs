@@ -6,8 +6,8 @@
 //! Perfetto load directly.
 
 use std::collections::BTreeSet;
-use std::io::{self, Write};
-use std::path::Path;
+
+use crate::json::JsonWriter;
 
 /// One completed span, in process-relative nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,46 +25,27 @@ pub struct TraceEvent {
 /// Serialize events as a Chrome trace JSON array. Events should already
 /// be in deterministic order (see [`crate::take_trace`]).
 pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut s = String::from("[\n");
+    let mut w = JsonWriter::new();
+    w.begin_array();
     let tids: BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
-    let mut first = true;
     for tid in tids {
-        push_sep(&mut s, &mut first);
-        s.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"bitrobust-{tid}\"}}}}"
-        ));
+        w.begin_object();
+        w.key("name").str("thread_name").key("ph").str("M");
+        w.key("pid").uint(1).key("tid").uint(tid);
+        w.key("args").begin_object().key("name").str(&format!("bitrobust-{tid}")).end();
+        w.end();
     }
     for e in events {
-        push_sep(&mut s, &mut first);
         // trace_event timestamps are microseconds; keep nanosecond
-        // precision as fractional digits.
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
-             \"pid\":1,\"tid\":{}}}",
-            e.name,
-            e.ts_ns / 1_000,
-            e.ts_ns % 1_000,
-            e.dur_ns / 1_000,
-            e.dur_ns % 1_000,
-            e.tid,
-        ));
+        // precision as three fractional digits.
+        w.begin_object();
+        w.key("name").str(e.name).key("ph").str("X");
+        w.key("ts").fixed(e.ts_ns as f64 / 1e3, 3).key("dur").fixed(e.dur_ns as f64 / 1e3, 3);
+        w.key("pid").uint(1).key("tid").uint(e.tid);
+        w.end();
     }
-    s.push_str("\n]\n");
-    s
-}
-
-fn push_sep(s: &mut String, first: &mut bool) {
-    if !*first {
-        s.push_str(",\n");
-    }
-    *first = false;
-}
-
-/// Write a Chrome trace file loadable in `chrome://tracing` / Perfetto.
-pub fn write_chrome_trace(path: &Path, events: &[TraceEvent]) -> io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_chrome_trace(events).as_bytes())
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -80,16 +61,16 @@ mod tests {
         let json = render_chrome_trace(&events);
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.ends_with("\n]\n"), "{json}");
-        assert!(json.contains("\"name\":\"bitrobust-0\""), "{json}");
-        assert!(json.contains("\"name\":\"bitrobust-3\""), "{json}");
-        assert!(json.contains("\"ts\":1.500,\"dur\":2.001"), "{json}");
-        assert!(json.contains("\"ts\":4.000,\"dur\":0.010"), "{json}");
+        assert!(json.contains("\"name\": \"bitrobust-0\""), "{json}");
+        assert!(json.contains("\"name\": \"bitrobust-3\""), "{json}");
+        assert!(json.contains("\"ts\": 1.500, \"dur\": 2.001"), "{json}");
+        assert!(json.contains("\"ts\": 4.000, \"dur\": 0.010"), "{json}");
         // Commas separate every record but never trail the last one.
         assert_eq!(json.matches(",\n").count(), 3, "{json}");
     }
 
     #[test]
     fn empty_trace_is_still_a_valid_array() {
-        assert_eq!(render_chrome_trace(&[]), "[\n\n]\n");
+        assert_eq!(render_chrome_trace(&[]), "[]\n");
     }
 }
