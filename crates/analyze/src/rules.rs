@@ -81,9 +81,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "cast-boundary",
         doc: "no bare `as` casts between numeric types in the quantization-boundary files \
-              (quant, nn::quantized, core::qmodel): use `From` for lossless widening and the \
-              checked helpers in `bitrobust_tensor::cast` (or the allowlisted codec fns) for \
-              anything lossy — `as` silently saturates and silently loses exactness",
+              (quant, core::qmodel): use `From` for lossless widening and keep anything lossy \
+              inside the allowlisted codec fns (`quantize_with_range`, `decode_level`, \
+              `dequantize_word`) — `as` silently saturates and silently loses exactness",
     },
     RuleInfo {
         id: "deprecated-note",
@@ -116,8 +116,7 @@ const NUMERIC_SRC: &[&str] = &[
 
 /// Files forming the float ↔ integer quantization boundary, where every
 /// numeric conversion must be exact or explicitly checked.
-const QUANT_BOUNDARY: &[&str] =
-    &["crates/quant/src/", "crates/nn/src/quantized.rs", "crates/core/src/qmodel.rs"];
+const QUANT_BOUNDARY: &[&str] = &["crates/quant/src/", "crates/core/src/qmodel.rs"];
 
 /// The thread pool is the *single* authority allowed to read machine
 /// parallelism; everything else must consume its published constants.
@@ -137,15 +136,10 @@ const WALL_CLOCK_AUTHORITY: &[&str] = &["crates/obs/src/", "crates/tensor/src/po
 /// * `scheme.rs::decode_level` — pure bit manipulation (sign-extension);
 ///   the `u8 → i8 → i32` chain is the definition of the word→level map.
 /// * `scheme.rs::dequantize_word` — levels are `|q| <= 128`, exact in f32.
-/// * `scheme.rs::weight_affine` — `max_level() as f32` with `L <= 128`.
-/// * `quantized.rs::decode_i8` — the `level as i8` is guarded by a range
-///   debug_assert and the rebias argument documented on the method.
 const CAST_ALLOWLIST: &[(&str, &str)] = &[
     ("crates/quant/src/scheme.rs", "quantize_with_range"),
     ("crates/quant/src/scheme.rs", "decode_level"),
     ("crates/quant/src/scheme.rs", "dequantize_word"),
-    ("crates/quant/src/scheme.rs", "weight_affine"),
-    ("crates/quant/src/quantized.rs", "decode_i8"),
 ];
 
 /// Numeric types whose `as` casts the boundary rule polices. `usize` /
@@ -439,12 +433,11 @@ fn cast_boundary(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             }
         }
         let hint = if target.starts_with('f') {
-            "use `f32::from` for lossless widening or \
-             `bitrobust_tensor::cast::{exact_i32_to_f32, exact_count_to_f32}` for checked \
-             conversion"
+            "use `f32::from` for lossless widening, or decode through the allowlisted \
+             `QuantScheme::dequantize_word`"
         } else {
-            "use `i32::from` for lossless widening or \
-             `bitrobust_tensor::cast::quantize_round_i8` for checked rounding"
+            "use `i32::from` for lossless widening, or encode and decode through the \
+             allowlisted `QuantScheme::quantize_with_range` / `QuantScheme::decode_level`"
         };
         push(
             ctx,
@@ -742,13 +735,13 @@ fn wave() -> usize {\n\
     #[test]
     fn bare_cast_in_boundary_file_is_flagged() {
         let src = "fn requantize(dot: i32, s: f32) -> f32 { s * dot as f32 }\n";
-        assert_eq!(rules_hit("crates/nn/src/quantized.rs", src), vec!["cast-boundary"]);
+        assert_eq!(rules_hit("crates/core/src/qmodel.rs", src), vec!["cast-boundary"]);
     }
 
     #[test]
     fn usize_casts_and_non_boundary_files_are_exempt() {
         let src = "fn idx(i: i32) -> usize { i as usize }\n";
-        assert!(rules_hit("crates/nn/src/quantized.rs", src).is_empty());
+        assert!(rules_hit("crates/core/src/qmodel.rs", src).is_empty());
         let src2 = "fn f(x: i32) -> f32 { x as f32 }\n";
         assert!(rules_hit("crates/nn/src/linear.rs", src2).is_empty());
     }

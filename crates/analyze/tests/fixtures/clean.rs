@@ -1,6 +1,6 @@
 // Fixture: the negative control — every pattern here is the *approved*
 // counterpart of a violation in the sibling fixtures, so it must produce
-// zero findings when scanned as `crates/nn/src/quantized.rs` (numeric
+// zero findings when scanned as `crates/core/src/qmodel.rs` (numeric
 // crate AND quantization boundary, the strictest combination).
 
 use std::collections::BTreeMap;

@@ -92,7 +92,7 @@ fn api_fixture_trips_deprecated_note_and_suppression_hygiene() {
 
 #[test]
 fn clean_fixture_produces_zero_findings_under_the_strictest_path() {
-    let findings = scan_fixture("clean.rs", "crates/nn/src/quantized.rs");
+    let findings = scan_fixture("clean.rs", "crates/core/src/qmodel.rs");
     assert!(findings.is_empty(), "negative control must stay clean: {findings:?}");
 }
 

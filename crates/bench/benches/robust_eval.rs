@@ -110,36 +110,6 @@ fn orchestrated_sweep(models: &[Model], rates: &[f64], test_ds: &Dataset) -> Vec
     sweep(&entries, rates, test_ds)
 }
 
-/// The native integer-domain path: compile each chip image to a `QNet`
-/// once, then forward the whole test set through it batch by batch —
-/// single-threaded, like the serial campaign reference it is compared to.
-fn native_int8_forward(model: &Model, images: &[QuantizedModel], test_ds: &Dataset) -> usize {
-    let n = test_ds.len();
-    let mut correct = 0;
-    for image in images {
-        let net = image.compile(model).expect("bench MLP must lower to a QNet");
-        let mut start = 0;
-        while start < n {
-            let end = (start + BATCH).min(n);
-            let (x, labels) = test_ds.batch_range(start, end);
-            let logits = net.infer(&x);
-            let classes = logits.dim(1);
-            for (row, &label) in labels.iter().enumerate() {
-                let row = &logits.data()[row * classes..(row + 1) * classes];
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(i, _)| i)
-                    .unwrap();
-                correct += (pred == label) as usize;
-            }
-            start = end;
-        }
-    }
-    correct
-}
-
 fn chip_images(model: &Model) -> Vec<QuantizedModel> {
     let q0 = QuantizedModel::quantize(model, QuantScheme::rquant(8));
     (0..N_CHIPS)
@@ -179,19 +149,13 @@ fn main() {
         "data-parallel training must be bit-identical to its serial shard reference"
     );
 
-    // `campaign_secs` measures the shared-image campaign (patterns held as
-    // integer images, f32 scratch bounded by the pool); it is re-emitted as
-    // `int8_shared_image_secs` next to the fully native int8 forward.
     let reps = 3;
-    let [serial_secs, campaign_secs, int8_native_infer_secs] = best_of_alternating(
+    let [serial_secs, campaign_secs] = best_of_alternating(
         reps,
         1,
         [
             &mut || drop(Campaign::new(&model, &test_ds).batch_size(BATCH).serial().run(&images)),
             &mut || drop(Campaign::new(&model, &test_ds).batch_size(BATCH).run(&images)),
-            &mut || {
-                native_int8_forward(&model, &images, &test_ds);
-            },
         ],
     );
     let [clean_serial_secs, clean_campaign_secs] = best_of_alternating(
@@ -251,9 +215,6 @@ fn main() {
     w.key("serial_secs").fixed(serial_secs, 6);
     w.key("campaign_secs").fixed(campaign_secs, 6);
     w.key("speedup").fixed(serial_secs / campaign_secs, 3);
-    w.key("int8_shared_image_secs").fixed(campaign_secs, 6);
-    w.key("int8_native_infer_secs").fixed(int8_native_infer_secs, 6);
-    w.key("int8_native_speedup").fixed(serial_secs / int8_native_infer_secs, 3);
     w.key("clean_serial_secs").fixed(clean_serial_secs, 6);
     w.key("clean_campaign_secs").fixed(clean_campaign_secs, 6);
     w.key("clean_speedup").fixed(clean_serial_secs / clean_campaign_secs, 3);

@@ -61,10 +61,6 @@ impl Layer for Relu {
         grad
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "Relu"
     }

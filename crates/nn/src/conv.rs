@@ -294,10 +294,6 @@ impl Layer for Conv2d {
         visitor(&self.bias);
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "Conv2d"
     }

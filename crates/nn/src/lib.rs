@@ -71,7 +71,6 @@ mod norm;
 mod optim;
 mod param;
 mod pooling;
-pub mod quantized;
 
 pub use activation::Relu;
 pub use container::{Flatten, Residual, Sequential};
@@ -85,4 +84,3 @@ pub use norm::{BatchNorm2d, GroupNorm};
 pub use optim::{MultiStepLr, Sgd};
 pub use param::{Param, ParamKind};
 pub use pooling::{GlobalAvgPool, MaxPool2d};
-pub use quantized::{lower_layers, QActivation, QConv2d, QLinear, QNet, QOp};

@@ -123,10 +123,6 @@ impl Layer for Linear {
         visitor(&self.bias);
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "Linear"
     }

@@ -54,7 +54,7 @@ impl Model {
     }
 
     /// Shared access to the root layer chain (for structural consumers
-    /// such as the integer-domain lowering in [`crate::lower_layers`]).
+    /// that walk the top-level layers one by one).
     pub fn root(&self) -> &Sequential {
         &self.root
     }

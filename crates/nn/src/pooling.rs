@@ -120,10 +120,6 @@ impl Layer for MaxPool2d {
         dx
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn layer_type(&self) -> &'static str {
         "MaxPool2d"
     }
@@ -191,10 +187,6 @@ impl Layer for GlobalAvgPool {
             }
         }
         dx
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn layer_type(&self) -> &'static str {

@@ -42,5 +42,5 @@
 mod quantized;
 mod scheme;
 
-pub use quantized::{DecodedI8, QuantRange, QuantizedTensor};
+pub use quantized::{QuantRange, QuantizedTensor};
 pub use scheme::{Granularity, IntegerRepr, QuantScheme, RangeMode, Rounding};

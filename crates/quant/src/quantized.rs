@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{IntegerRepr, QuantScheme};
+use crate::QuantScheme;
 
 /// A (possibly asymmetric) quantization range `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -142,31 +142,6 @@ impl QuantizedTensor {
         }
     }
 
-    /// Decodes the stored words into an `i8` image plus the affine map back
-    /// to weight space — the form the integer-domain inference path consumes
-    /// (`w[i] ≈ scale * q[i] + offset`).
-    ///
-    /// Decoded levels span at most `[-2^(m-1), 2^(m-1)]` once bit errors are
-    /// in play; the one level that cannot fit an `i8` (unsigned 8-bit word
-    /// `0xFF` decodes to `+128`) is handled by re-biasing the whole image by
-    /// `-1` and folding the bias into `offset`, so the image is always exact.
-    pub fn decode_i8(&self) -> DecodedI8 {
-        let (scale, offset) = self.scheme.weight_affine(self.range);
-        // Unsigned 8-bit levels span [-127, 128]; shift by -1 into i8 range.
-        let rebias =
-            if self.bits() == 8 && self.scheme.repr == IntegerRepr::Unsigned { 1 } else { 0 };
-        let q = self
-            .words
-            .iter()
-            .map(|&w| {
-                let level = self.scheme.decode_level(w) - rebias;
-                debug_assert!((-128..=127).contains(&level));
-                level as i8
-            })
-            .collect();
-        DecodedI8 { q, scale, offset: scale * rebias as f32 + offset }
-    }
-
     /// Counts differing live bits between two quantized tensors of the same
     /// shape and scheme (used by tests and chip diagnostics).
     ///
@@ -182,23 +157,6 @@ impl QuantizedTensor {
             .map(|(&a, &b)| ((a ^ b) & mask).count_ones() as usize)
             .sum()
     }
-}
-
-/// An integer-domain view of a [`QuantizedTensor`]: the exact decoded levels
-/// as `i8` plus the affine map back to weight space,
-/// `w[i] ≈ scale * q[i] as f32 + offset`.
-///
-/// This is the image the int8 inference kernels consume — built once per
-/// tensor (or once per bit-error pattern) instead of dequantizing a full
-/// f32 replica, which is what shrinks per-pattern campaign memory ~4×.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedI8 {
-    /// Decoded (re-biased) quantization levels, one per weight.
-    pub q: Vec<i8>,
-    /// Multiplier of the affine decode.
-    pub scale: f32,
-    /// Constant term of the affine decode.
-    pub offset: f32,
 }
 
 #[cfg(test)]
@@ -268,41 +226,6 @@ mod tests {
         let scheme = QuantScheme::rquant(3);
         let q = scheme.quantize(&[-1.0f32, -0.5, 0.0, 0.5, 1.0]);
         assert!(q.words().iter().all(|&w| w & 0xF8 == 0));
-    }
-
-    /// `decode_i8` must reproduce the float decode for every scheme,
-    /// including the unsigned 8-bit word `0xFF` whose raw level (+128) does
-    /// not fit an `i8` without the re-bias.
-    #[test]
-    fn decode_i8_matches_float_decode_for_all_words() {
-        for bits in [2u8, 4, 8] {
-            for scheme in [
-                QuantScheme::rquant(bits),
-                QuantScheme::normal(bits),
-                QuantScheme::symmetric(bits),
-                QuantScheme::asymmetric_unsigned(bits),
-            ] {
-                let weights: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 40.0).collect();
-                let mut q = scheme.quantize(&weights);
-                // Cover every word value reachable by bit errors, notably
-                // the dead code points (0xFF unsigned, 0x80 signed).
-                for (i, w) in q.words_mut().iter_mut().enumerate() {
-                    *w = (i as u8).wrapping_mul(37) & scheme.live_mask();
-                }
-                q.words_mut()[0] = scheme.live_mask(); // all-ones (dead point)
-                q.words_mut()[1] = 0x80 & scheme.live_mask(); // signed minimum
-                let img = q.decode_i8();
-                let float = q.dequantize();
-                for (i, (&qi, &f)) in img.q.iter().zip(&float).enumerate() {
-                    let via_i8 = img.scale * qi as f32 + img.offset;
-                    assert!(
-                        (via_i8 - f).abs() <= 1e-6 * f.abs().max(1.0),
-                        "{} word {i}: {via_i8} vs {f}",
-                        scheme.describe()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

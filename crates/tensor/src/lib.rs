@@ -35,16 +35,13 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod cast;
 pub mod gemm;
-pub mod gemm_i8;
 mod ops;
 mod pool;
 mod serialize;
 mod tensor;
 
 pub use gemm::GemmOperand;
-pub use gemm_i8::{gemm_i8, GemmOperandI8};
 pub use ops::{
     dot, matmul, matmul_accumulate, matmul_into, matmul_nt, matmul_nt_accumulate, matmul_nt_into,
     matmul_nt_reference, matmul_reference, matmul_tn, matmul_tn_accumulate, matmul_tn_into,
